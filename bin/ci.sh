@@ -572,6 +572,17 @@ echo "$out" | grep -q "speedup" || {
 [ -s BENCH_daemon.json ] || {
     echo "FAIL: BENCH_daemon.json not written"; exit 1; }
 
+# repository benchmark, one pass each: every instance must reach its
+# known optimum (or formula size) and pass Check and Sim, so a solver
+# change that breaks an answer fails here before any timing is read
+echo "== benchmark correctness smoke =="
+for wl in "formula --seed 7" "paper-lazy --seed 42"; do
+    line=$(python3 perfbench/run.py --workload $wl --seconds 1 --trace 0 | tail -n 1)
+    echo "$line" | grep -q '"correct": true' \
+        && echo "$line" | grep -q '"failed": 0[,}]' || {
+        echo "FAIL: perfbench --workload $wl: $line"; exit 1; }
+done
+
 # the entire tier-1 suite again with the lazy encoder as the default
 # (dune runtest caches ignore the environment, so drive the test
 # executable directly)

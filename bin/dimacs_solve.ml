@@ -35,8 +35,9 @@
    winning trace verifies; in cube mode the per-cube refutations are
    tagged with their cube and stitched into one trace ending in the
    empty clause, which verifies against the original formula.
-   --stats prints learnt-DB and LBD statistics (per worker in
-   portfolio mode, per cube in cube mode). *)
+   --stats prints search counters, their clause/PB attribution and
+   learnt-DB and LBD statistics (per worker in portfolio mode, per cube
+   in cube mode). *)
 
 open Taskalloc_sat
 module Proof = Taskalloc_proof.Proof
@@ -235,6 +236,11 @@ let print_solver_stats ~prefix s =
   Printf.printf "c %sconflicts=%d decisions=%d propagations=%d restarts=%d\n"
     prefix (Solver.n_conflicts s) (Solver.n_decisions s)
     (Solver.n_propagations s) (Solver.n_restarts s);
+  Printf.printf
+    "c %sattribution: clause_props=%d pb_props=%d clause_conflicts=%d \
+     pb_conflicts=%d\n"
+    prefix (Solver.n_clause_props s) (Solver.n_pb_props s)
+    (Solver.n_clause_conflicts s) (Solver.n_pb_conflicts s);
   let { Solver.live; glue; avg_lbd; max_lbd } = Solver.lbd_summary s in
   Printf.printf
     "c %slearnts: total=%d live=%d glue=%d avg_lbd=%.2f max_lbd=%d \

@@ -4,42 +4,39 @@
    conflict analysis with clause learning, VSIDS branching with phase
    saving, Luby restarts and activity-based learnt-clause deletion.
 
-   PB constraints [sum a_i * l_i >= b] (a_i > 0) are propagated with the
-   counter method: each constraint keeps its slack
-   [sum over non-false l_i of a_i - b], updated eagerly on assignment
-   and unassignment.  A constraint is conflicting when slack < 0 and
-   propagates every unassigned literal whose coefficient exceeds the
-   slack.  Conflict analysis sees PB constraints through clausal
-   explanations (the propagated literal together with the literals of
-   the constraint that were false at propagation time), which keeps the
+   Storage is flat and pointer-free, so propagation chases no boxes and
+   pays no write barriers:
+   - Clause arena: every clause lives in one growable [int array], a
+     [hdr]-word header (size and learnt/deleted flags, LBD, activity
+     slot) followed by its literals.  A clause is named by the offset
+     of its header, its [cref].  Learnt activities live in a parallel
+     float store indexed by the header's slot.  Deleting a clause only
+     sets its flag; once the dead words pass a fifth of the arena it is
+     compacted MiniSat-style, relocating every cref in place.
+   - Watch lists: one int vector per literal of interleaved
+     [(blocker, cref)] pairs.  A satisfied blocker keeps the watch
+     without touching the arena.
+   - Reasons: one [int array] of codes, [none], a cref (>= 0) or an
+     encoded PB index (<= -2).
+   - PB constraints [sum a_i * l_i >= b] (a_i > 0) are propagated with
+     the counter method: each keeps its slack
+     [sum over non-false l_i of a_i - b] in a flat [int array], updated
+     eagerly on assignment and unassignment through per-literal
+     [(pb index, coeff)] watch pairs.  A constraint is conflicting when
+     slack < 0 and propagates every unassigned literal whose
+     coefficient exceeds the slack.
+
+   Conflict analysis sees PB constraints through clausal explanations
+   (the propagated literal together with the literals of the
+   constraint that were false at propagation time), which keeps the
    learning machinery purely clausal and sound.  This mirrors the
    GOBLIN-style PB engine the paper relies on. *)
-
-type clause = {
-  mutable lits : int array;
-  learnt : bool;
-  mutable activity : float;
-  mutable deleted : bool;
-  mutable lbd : int; (* literal block distance; 0 for problem clauses *)
-  mutable vsig : int; (* variable-set signature, filled by inprocessing *)
-}
-
-(* Watch-list entry with a blocking literal (Glucose-style): if
-   [blocker] is true the clause is satisfied and the cache-missing
-   clause dereference is skipped entirely. *)
-type watcher = { blocker : int; wcl : clause }
 
 type pb = {
   coeffs : int array; (* positive, parallel to [plits] *)
   plits : int array;
   degree : int; (* b in sum a_i l_i >= b *)
-  mutable slack : int;
-  max_coeff : int;
 }
-
-type pb_watch = { pbc : pb; w_coeff : int }
-
-type reason = No_reason | Reason_clause of clause | Reason_pb of pb
 
 type result = Sat | Unsat | Unknown
 
@@ -54,12 +51,36 @@ type proof_step =
   | Step_pb of int array
   | Step_delete of int array
 
-let dummy_clause =
-  { lits = [||]; learnt = false; activity = 0.; deleted = true; lbd = 0; vsig = 0 }
+let dummy_pb = { coeffs = [||]; plits = [||]; degree = 0 }
 
-let dummy_watcher = { blocker = 0; wcl = dummy_clause }
-let dummy_pb = { coeffs = [||]; plits = [||]; degree = 0; slack = 0; max_coeff = 0 }
-let dummy_pbw = { pbc = dummy_pb; w_coeff = 0 }
+(* Reason codes: [none], a clause's cref, or [pb_reason i] for the
+   PB constraint of index [i]. *)
+let none = -1
+let pb_reason i = -2 - i
+let pb_of_reason r = -2 - r
+
+(* Clause header words: size lsl 2 with the flag bits below, the LBD
+   (0 for problem clauses), and the activity slot of a learnt clause. *)
+let hdr = 3
+let learnt_bit = 1
+let deleted_bit = 2
+
+(* A growable int vector of pairs: [(blocker, cref)] clause watches or
+   [(pb index, coeff)] PB watches. *)
+type pairs = { mutable pdata : int array; mutable psize : int }
+
+let pairs_create () = { pdata = Array.make 4 0; psize = 0 }
+
+let pairs_push ps a b =
+  let n = ps.psize in
+  if n + 2 > Array.length ps.pdata then begin
+    let d = Array.make (2 * Array.length ps.pdata) 0 in
+    Array.blit ps.pdata 0 d 0 n;
+    ps.pdata <- d
+  end;
+  Array.unsafe_set ps.pdata n a;
+  Array.unsafe_set ps.pdata (n + 1) b;
+  ps.psize <- n + 2
 
 (* Diversification knobs.  [default_config] reproduces the historical
    hard-wired behavior exactly, so applying it is observationally a
@@ -132,19 +153,27 @@ type t = {
   (* per-variable state, grown on demand *)
   mutable assigns : int array; (* 0 unassigned, 1 true, -1 false *)
   mutable level : int array;
-  mutable reason : reason array;
+  mutable reason : int array; (* reason codes, see [none] *)
   mutable trail_pos : int array;
   mutable polarity : bool array; (* saved phase: last assigned sign *)
   mutable seen : bool array;
   activity : float array ref;
   order : Order_heap.t;
   (* per-literal watch lists *)
-  mutable watches : watcher Vec.t array;
-  mutable pb_watches : pb_watch Vec.t array;
+  mutable watches : pairs array;
+  mutable pb_watches : pairs array;
+  (* clause arena (see the header comment) *)
+  mutable arena : int array;
+  mutable arena_top : int; (* first free word *)
+  mutable wasted : int; (* words held by deleted clauses *)
+  mutable cla_act : float array; (* learnt activities, by header slot *)
+  mutable n_act : int; (* slots in use *)
   (* constraint database *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  clauses : Veci.t; (* crefs of the problem clauses *)
+  learnts : Veci.t; (* crefs of the learnt clauses *)
   pbs : pb Vec.t;
+  mutable pb_slack : int array; (* by PB index *)
+  mutable pb_max : int array; (* largest coefficient, by PB index *)
   (* assignment trail *)
   trail : Veci.t;
   trail_lim : Veci.t;
@@ -167,6 +196,12 @@ type t = {
   mutable learnt_total : int; (* cumulative learnt clauses, incl. deleted *)
   mutable reduce_dbs : int;
   mutable imported : int; (* clauses accepted through the import hook *)
+  (* attribution: literals enqueued by a clause / PB reason, search
+     conflicts raised by a clause / PB constraint *)
+  mutable clause_props : int;
+  mutable pb_props : int;
+  mutable clause_conflicts : int;
+  mutable pb_conflicts : int;
   mutable last_stats : solve_stats; (* deltas of the latest solve call *)
   (* LBD computation scratch: level stamps, see [compute_lbd] *)
   mutable lbd_stamp : int array;
@@ -206,17 +241,24 @@ let create () =
     n_elim_resolvents = 0;
     assigns = Array.make 16 0;
     level = Array.make 16 0;
-    reason = Array.make 16 No_reason;
+    reason = Array.make 16 none;
     trail_pos = Array.make 16 0;
     polarity = Array.make 16 false;
     seen = Array.make 16 false;
     activity;
     order = Order_heap.create activity;
-    watches = Array.init 32 (fun _ -> Vec.create dummy_watcher);
-    pb_watches = Array.init 32 (fun _ -> Vec.create dummy_pbw);
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
+    watches = Array.init 32 (fun _ -> pairs_create ());
+    pb_watches = Array.init 32 (fun _ -> pairs_create ());
+    arena = Array.make 1024 0;
+    arena_top = 0;
+    wasted = 0;
+    cla_act = Array.make 64 0.;
+    n_act = 0;
+    clauses = Veci.create ();
+    learnts = Veci.create ();
     pbs = Vec.create dummy_pb;
+    pb_slack = Array.make 16 0;
+    pb_max = Array.make 16 0;
     trail = Veci.create ();
     trail_lim = Veci.create ();
     qhead = 0;
@@ -236,6 +278,10 @@ let create () =
     learnt_total = 0;
     reduce_dbs = 0;
     imported = 0;
+    clause_props = 0;
+    pb_props = 0;
+    clause_conflicts = 0;
+    pb_conflicts = 0;
     last_stats = empty_solve_stats;
     lbd_stamp = Array.make 17 0;
     lbd_tick = 0;
@@ -249,9 +295,9 @@ let create () =
   }
 
 let n_vars t = t.nvars
-let n_clauses t = Vec.size t.clauses
+let n_clauses t = Veci.size t.clauses
 let n_pbs t = Vec.size t.pbs
-let n_learnts t = Vec.size t.learnts
+let n_learnts t = Veci.size t.learnts
 let n_conflicts t = t.conflicts
 let n_decisions t = t.decisions
 let n_propagations t = t.propagations
@@ -260,20 +306,77 @@ let n_literals t = t.lit_count
 let n_learnt_total t = t.learnt_total
 let n_reduce_dbs t = t.reduce_dbs
 let n_imported t = t.imported
+let n_clause_props t = t.clause_props
+let n_pb_props t = t.pb_props
+let n_clause_conflicts t = t.clause_conflicts
+let n_pb_conflicts t = t.pb_conflicts
 let ok t = t.ok
+
+(* -- clause arena ------------------------------------------------------- *)
+
+let c_size t c = t.arena.(c) lsr 2
+let c_learnt t c = t.arena.(c) land learnt_bit <> 0
+let c_deleted t c = t.arena.(c) land deleted_bit <> 0
+let c_lbd t c = t.arena.(c + 1)
+let c_lit t c i = t.arena.(c + hdr + i)
+let c_lits t c = Array.sub t.arena (c + hdr) (c_size t c)
+let c_activity t c = t.cla_act.(t.arena.(c + 2))
+
+let c_exists t c p =
+  let a = t.arena and base = c + hdr in
+  let rec go i = i >= 0 && (p a.(base + i) || go (i - 1)) in
+  go (c_size t c - 1)
+
+let c_mem t c l = c_exists t c (fun x -> x = l)
+
+(* Store a clause and return its cref.  Learnt clauses get a fresh
+   activity slot, initialised to 0. *)
+let alloc_clause t (lits : int array) ~learnt ~lbd =
+  let n = Array.length lits in
+  let c = t.arena_top in
+  if c + hdr + n > Array.length t.arena then begin
+    let a = Array.make (max (c + hdr + n) (2 * Array.length t.arena)) 0 in
+    Array.blit t.arena 0 a 0 c;
+    t.arena <- a
+  end;
+  let slot =
+    if not learnt then 0
+    else begin
+      if t.n_act = Array.length t.cla_act then begin
+        let f = Array.make (2 * t.n_act) 0. in
+        Array.blit t.cla_act 0 f 0 t.n_act;
+        t.cla_act <- f
+      end;
+      t.cla_act.(t.n_act) <- 0.;
+      t.n_act <- t.n_act + 1;
+      t.n_act - 1
+    end
+  in
+  let a = t.arena in
+  a.(c) <- (n lsl 2) lor (if learnt then learnt_bit else 0);
+  a.(c + 1) <- lbd;
+  a.(c + 2) <- slot;
+  Array.blit lits 0 a (c + hdr) n;
+  t.arena_top <- c + hdr + n;
+  c
+
+let delete_clause t c =
+  t.arena.(c) <- t.arena.(c) lor deleted_bit;
+  t.wasted <- t.wasted + hdr + c_size t c
 
 (* Summary of the LBD distribution over the live learnt clauses. *)
 type lbd_summary = { live : int; glue : int; avg_lbd : float; max_lbd : int }
 
 let lbd_summary t =
   let n = ref 0 and glue = ref 0 and sum = ref 0 and mx = ref 0 in
-  Vec.iter
-    (fun (c : clause) ->
-      if not c.deleted then begin
+  Veci.iter
+    (fun c ->
+      if not (c_deleted t c) then begin
+        let lbd = c_lbd t c in
         incr n;
-        sum := !sum + c.lbd;
-        if c.lbd <= 2 then incr glue;
-        if c.lbd > !mx then mx := c.lbd
+        sum := !sum + lbd;
+        if lbd <= 2 then incr glue;
+        if lbd > !mx then mx := lbd
       end)
     t.learnts;
   {
@@ -329,23 +432,21 @@ let grow_arrays t cap =
     in
     t.assigns <- copy t.assigns 0;
     t.level <- copy t.level 0;
-    t.reason <- (let b = Array.make n No_reason in Array.blit t.reason 0 b 0 old; b);
+    t.reason <- copy t.reason none;
     t.trail_pos <- copy t.trail_pos 0;
-    t.polarity <- (let b = Array.make n false in Array.blit t.polarity 0 b 0 old; b);
-    t.seen <- (let b = Array.make n false in Array.blit t.seen 0 b 0 old; b);
-    t.frozen <- (let b = Array.make n false in Array.blit t.frozen 0 b 0 old; b);
-    t.eliminated <-
-      (let b = Array.make n false in Array.blit t.eliminated 0 b 0 old; b);
-    (let b = Array.make n 0. in Array.blit !(t.activity) 0 b 0 old; t.activity := b);
+    t.polarity <- copy t.polarity false;
+    t.seen <- copy t.seen false;
+    t.frozen <- copy t.frozen false;
+    t.eliminated <- copy t.eliminated false;
+    t.activity := copy !(t.activity) 0.;
     (* decision levels range over [0, nvars], hence the +1 *)
     t.lbd_stamp <- Array.make (n + 1) 0;
     t.lbd_tick <- 0;
     let oldw = Array.length t.watches in
     if 2 * n > oldw then begin
-      let w = Array.init (2 * n) (fun i -> if i < oldw then t.watches.(i) else Vec.create dummy_watcher) in
-      t.watches <- w;
-      let pw = Array.init (2 * n) (fun i -> if i < oldw then t.pb_watches.(i) else Vec.create dummy_pbw) in
-      t.pb_watches <- pw
+      let grow ws = Array.init (2 * n) (fun i -> if i < oldw then ws.(i) else pairs_create ()) in
+      t.watches <- grow t.watches;
+      t.pb_watches <- grow t.pb_watches
     end
   end
 
@@ -360,10 +461,8 @@ let new_vars t n = List.init n (fun _ -> new_var t)
 
 let decision_level t = Veci.size t.trail_lim
 
-let _value_var t v = t.assigns.(v)
-
 let value_lit t l =
-  let a = t.assigns.(l lsr 1) in
+  let a = Array.unsafe_get t.assigns (l lsr 1) in
   if l land 1 = 0 then a else -a
 
 (* -- proof logging --------------------------------------------------- *)
@@ -374,13 +473,14 @@ let proof_on t = t.proof <> None
 let log_step t step =
   match t.proof with None -> () | Some sink -> sink step
 
-(* Clausal consequence of [pb] given the literals of [pb] currently
+(* Clausal consequence of PB [i] given the literals of it currently
    false: falsifying [extra] (when >= 0) and those literals leaves the
    maximum achievable sum below the degree. *)
-let log_pb_clause t pb extra =
+let log_pb_clause t i extra =
   match t.proof with
   | None -> ()
   | Some sink ->
+    let pb = Vec.get t.pbs i in
     let buf = ref (if extra >= 0 then [ extra ] else []) in
     let n = Array.length pb.plits in
     for i = n - 1 downto 0 do
@@ -389,11 +489,15 @@ let log_pb_clause t pb extra =
     done;
     sink (Step_pb (Array.of_list !buf))
 
+(* Log the clausal form of a PB conflict reason; clause reasons are
+   already in the trace. *)
+let log_pb_conflict t r = if r <= -2 then log_pb_clause t (pb_of_reason r) (-1)
+
 (* The instance has been refuted: log the clausal form of a PB conflict
    reason (when there is one) and then the empty clause. *)
 let log_refutation t r =
   if proof_on t then begin
-    (match r with Reason_pb pb -> log_pb_clause t pb (-1) | _ -> ());
+    log_pb_conflict t r;
     log_step t (Step_rup [||])
   end
 
@@ -414,10 +518,16 @@ let var_bump t v =
 
 let var_decay_activity t = t.var_inc <- t.var_inc *. t.var_decay
 
-let cla_bump t (c : clause) =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) t.learnts;
+let cla_bump t c =
+  let slot = t.arena.(c + 2) in
+  let act = t.cla_act.(slot) +. t.cla_inc in
+  t.cla_act.(slot) <- act;
+  if act > 1e20 then begin
+    Veci.iter
+      (fun c ->
+        let slot = t.arena.(c + 2) in
+        t.cla_act.(slot) <- t.cla_act.(slot) *. 1e-20)
+      t.learnts;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -437,20 +547,33 @@ let enqueue t l r =
   t.trail_pos.(v) <- Veci.size t.trail;
   t.polarity.(v) <- l land 1 = 0;
   Veci.push t.trail l;
-  let falsified = l lxor 1 in
-  Vec.iter (fun w -> w.pbc.slack <- w.pbc.slack - w.w_coeff) t.pb_watches.(falsified)
+  let pw = t.pb_watches.(l lxor 1) in
+  let d = pw.pdata and slack = t.pb_slack in
+  let k = ref 0 in
+  while !k < pw.psize do
+    let i = Array.unsafe_get d !k in
+    slack.(i) <- slack.(i) - Array.unsafe_get d (!k + 1);
+    k := !k + 2
+  done
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = Veci.get t.trail_lim lvl in
+    let slack = t.pb_slack in
     for c = Veci.size t.trail - 1 downto bound do
       let l = Veci.get t.trail c in
       let v = l lsr 1 in
       t.assigns.(v) <- 0;
-      t.reason.(v) <- No_reason;
+      t.reason.(v) <- none;
       if not (Order_heap.in_heap t.order v) then Order_heap.insert t.order v;
-      let falsified = l lxor 1 in
-      Vec.iter (fun w -> w.pbc.slack <- w.pbc.slack + w.w_coeff) t.pb_watches.(falsified)
+      let pw = t.pb_watches.(l lxor 1) in
+      let d = pw.pdata in
+      let k = ref 0 in
+      while !k < pw.psize do
+        let i = Array.unsafe_get d !k in
+        slack.(i) <- slack.(i) + Array.unsafe_get d (!k + 1);
+        k := !k + 2
+      done
     done;
     Veci.shrink t.trail bound;
     Veci.shrink t.trail_lim lvl;
@@ -461,115 +584,147 @@ let new_decision_level t = Veci.push t.trail_lim (Veci.size t.trail)
 
 (* -- propagation ----------------------------------------------------- *)
 
-exception Conflict of reason
-
-(* Scan a PB constraint after one of its literals was falsified.  Raises
-   [Conflict] or enqueues forced literals. *)
-let pb_check t pb =
-  if pb.slack < 0 then raise (Conflict (Reason_pb pb))
-  else if pb.slack < pb.max_coeff then begin
-    let n = Array.length pb.plits in
-    for i = 0 to n - 1 do
-      if pb.coeffs.(i) > pb.slack && value_lit t pb.plits.(i) = 0 then begin
-        (* level-0 PB propagations are invisible to conflict analysis
-           (it skips level-0 literals), so a checker replaying the trace
-           could never derive them: log their explanation here.  The
-           same applies to PB propagations during inprocessing probes
-           ([probe_logging]): the clause derived from the probe is RUP
-           only if every PB inference along the way has a clausal
-           counterpart in the trace. *)
-        if proof_on t && (decision_level t = 0 || t.probe_logging) then
-          log_pb_clause t pb pb.plits.(i);
-        enqueue t pb.plits.(i) (Reason_pb pb)
-      end
-    done
+(* Scan PB constraint [i] after one of its literals was falsified:
+   enqueue the literals it forces and return [none], or return its
+   reason code when it is conflicting. *)
+let pb_check t i =
+  let slack = t.pb_slack.(i) in
+  if slack < 0 then pb_reason i
+  else begin
+    if slack < t.pb_max.(i) then begin
+      let pb = Vec.get t.pbs i in
+      let n = Array.length pb.plits in
+      for k = 0 to n - 1 do
+        let q = pb.plits.(k) in
+        if pb.coeffs.(k) > t.pb_slack.(i) && value_lit t q = 0 then begin
+          (* level-0 PB propagations are invisible to conflict analysis
+             (it skips level-0 literals), so a checker replaying the trace
+             could never derive them: log their explanation here.  The
+             same applies to PB propagations during inprocessing probes
+             ([probe_logging]): the clause derived from the probe is RUP
+             only if every PB inference along the way has a clausal
+             counterpart in the trace. *)
+          if proof_on t && (decision_level t = 0 || t.probe_logging) then
+            log_pb_clause t i q;
+          t.pb_props <- t.pb_props + 1;
+          enqueue t q (pb_reason i)
+        end
+      done
+    end;
+    none
   end
 
-let propagate t : reason option =
-  let confl = ref None in
-  (try
-     while t.qhead < Veci.size t.trail do
-       let p = Veci.get t.trail t.qhead in
-       t.qhead <- t.qhead + 1;
-       t.propagations <- t.propagations + 1;
-       (* clause watches: clauses in [watches.(p)] have a watched literal
-          equal to [neg p], which is now false *)
-       let ws = t.watches.(p) in
-       let i = ref 0 and j = ref 0 in
-       (try
-          while !i < Vec.size ws do
-            let w = Vec.get ws !i in
-            incr i;
-            if w.wcl.deleted then () (* drop lazily *)
-            else if value_lit t w.blocker = 1 then begin
-              (* satisfied through the blocking literal: keep as-is
-                 without touching the clause *)
-              Vec.set ws !j w;
-              incr j
+(* Propagate the trail to fixpoint; returns the reason code of a
+   conflicting constraint, or [none]. *)
+let propagate t =
+  let confl = ref none in
+  while !confl = none && t.qhead < Veci.size t.trail do
+    let p = Veci.get t.trail t.qhead in
+    t.qhead <- t.qhead + 1;
+    t.propagations <- t.propagations + 1;
+    (* clause watches: clauses in [watches.(p)] have a watched literal
+       equal to [np], which is now false.  A watch moves only to the
+       list of a different literal, so [ws] keeps its array. *)
+    let np = p lxor 1 in
+    let ws = t.watches.(p) in
+    let wd = ws.pdata and n = ws.psize in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let blocker = Array.unsafe_get wd !i and c = Array.unsafe_get wd (!i + 1) in
+      i := !i + 2;
+      if value_lit t blocker = 1 then begin
+        (* satisfied through the blocking literal: keep as-is without
+           touching the arena *)
+        Array.unsafe_set wd !j blocker;
+        Array.unsafe_set wd (!j + 1) c;
+        j := !j + 2
+      end
+      else begin
+        let a = t.arena in
+        let l0 = c + hdr in
+        if a.(l0) = np then begin
+          a.(l0) <- a.(l0 + 1);
+          a.(l0 + 1) <- np
+        end;
+        let first = a.(l0) in
+        if first <> blocker && value_lit t first = 1 then begin
+          Array.unsafe_set wd !j first;
+          Array.unsafe_set wd (!j + 1) c;
+          j := !j + 2
+        end
+        else begin
+          (* look for a non-false replacement watch *)
+          let size = a.(c) lsr 2 in
+          let k = ref 2 in
+          while !k < size && value_lit t a.(l0 + !k) = -1 do incr k done;
+          if !k < size then begin
+            let l = a.(l0 + !k) in
+            a.(l0 + 1) <- l;
+            a.(l0 + !k) <- np;
+            pairs_push t.watches.(l lxor 1) first c
+          end
+          else begin
+            Array.unsafe_set wd !j first;
+            Array.unsafe_set wd (!j + 1) c;
+            j := !j + 2;
+            if value_lit t first = -1 then begin
+              (* conflict: keep the rest of the list and stop *)
+              confl := c;
+              while !i < n do
+                Array.unsafe_set wd !j (Array.unsafe_get wd !i);
+                Array.unsafe_set wd (!j + 1) (Array.unsafe_get wd (!i + 1));
+                j := !j + 2;
+                i := !i + 2
+              done
             end
             else begin
-              let c = w.wcl in
-              let np = p lxor 1 in
-              if c.lits.(0) = np then begin
-                c.lits.(0) <- c.lits.(1);
-                c.lits.(1) <- np
-              end;
-              let first = c.lits.(0) in
-              if first <> w.blocker && value_lit t first = 1 then begin
-                Vec.set ws !j { blocker = first; wcl = c };
-                incr j
-              end
-              else begin
-                (* look for a non-false replacement watch *)
-                let n = Array.length c.lits in
-                let k = ref 2 in
-                while !k < n && value_lit t c.lits.(!k) = -1 do incr k done;
-                if !k < n then begin
-                  c.lits.(1) <- c.lits.(!k);
-                  c.lits.(!k) <- np;
-                  Vec.push t.watches.(c.lits.(1) lxor 1) { blocker = first; wcl = c }
-                end
-                else begin
-                  Vec.set ws !j { blocker = first; wcl = c };
-                  incr j;
-                  if value_lit t first = -1 then begin
-                    (* conflict: flush the rest of the list and stop *)
-                    while !i < Vec.size ws do
-                      Vec.set ws !j (Vec.get ws !i);
-                      incr j;
-                      incr i
-                    done;
-                    raise (Conflict (Reason_clause c))
-                  end
-                  else enqueue t first (Reason_clause c)
-                end
-              end
+              t.clause_props <- t.clause_props + 1;
+              enqueue t first c
             end
-          done;
-          Vec.shrink ws !j
-        with Conflict r ->
-          Vec.shrink ws !j;
-          raise (Conflict r));
-       (* PB constraints containing [neg p] lost slack when [p] was
-          enqueued; check them now *)
-       Vec.iter (fun w -> pb_check t w.pbc) t.pb_watches.(p lxor 1)
-     done
-   with Conflict r ->
-     t.qhead <- Veci.size t.trail;
-     confl := Some r);
+          end
+        end
+      end
+    done;
+    ws.psize <- !j;
+    (* PB constraints containing [np] lost slack when [p] was enqueued;
+       check them now *)
+    if !confl = none then begin
+      let pw = t.pb_watches.(np) in
+      let k = ref 0 in
+      while !confl = none && !k < pw.psize do
+        confl := pb_check t pw.pdata.(!k);
+        k := !k + 2
+      done
+    end
+  done;
+  if !confl <> none then t.qhead <- Veci.size t.trail;
   !confl
 
 (* -- adding constraints ---------------------------------------------- *)
 
 let attach_clause t c =
-  Vec.push t.watches.(c.lits.(0) lxor 1) { blocker = c.lits.(1); wcl = c };
-  Vec.push t.watches.(c.lits.(1) lxor 1) { blocker = c.lits.(0); wcl = c }
+  let l0 = c_lit t c 0 and l1 = c_lit t c 1 in
+  pairs_push t.watches.(l0 lxor 1) l1 c;
+  pairs_push t.watches.(l1 lxor 1) l0 c
+
+(* Remove the first watch of [c] from [ws] by moving the list's last
+   pair into its place. *)
+let unwatch ws c =
+  let d = ws.pdata in
+  let rec find k =
+    if k < ws.psize then
+      if d.(k + 1) = c then begin
+        ws.psize <- ws.psize - 2;
+        d.(k) <- d.(ws.psize);
+        d.(k + 1) <- d.(ws.psize + 1)
+      end
+      else find (k + 2)
+  in
+  find 0
 
 let detach_clause t c =
-  let eq (a : watcher) (b : watcher) = a.wcl == b.wcl in
-  let probe = { blocker = 0; wcl = c } in
-  ignore (Vec.swap_remove ~eq t.watches.(c.lits.(0) lxor 1) probe);
-  ignore (Vec.swap_remove ~eq t.watches.(c.lits.(1) lxor 1) probe)
+  unwatch t.watches.(c_lit t c 0 lxor 1) c;
+  unwatch t.watches.(c_lit t c 1 lxor 1) c
 
 (* Add a problem clause.  Only legal at decision level 0.  Performs
    level-0 simplification: drops false literals, ignores satisfied and
@@ -625,25 +780,16 @@ and add_clause_core t lits =
         log_step t (Step_rup [||]);
         None
       | [ l ] ->
-        enqueue t l No_reason;
-        (match propagate t with
-        | None -> ()
-        | Some r ->
+        enqueue t l none;
+        let r = propagate t in
+        if r <> none then begin
           t.ok <- false;
-          log_refutation t r);
+          log_refutation t r
+        end;
         None
       | _ ->
-        let c =
-          {
-            lits = Array.of_list lits;
-            learnt = false;
-            activity = 0.;
-            deleted = false;
-            lbd = 0;
-            vsig = 0;
-          }
-        in
-        Vec.push t.clauses c;
+        let c = alloc_clause t (Array.of_list lits) ~learnt:false ~lbd:0 in
+        Veci.push t.clauses c;
         attach_clause t c;
         Some c
     end
@@ -686,51 +832,46 @@ let add_pb_geq t pairs degree =
         (* saturation: no coefficient needs to exceed the degree *)
         let pairs = List.map (fun (a, l) -> (min a degree, l)) pairs in
         t.lit_count <- t.lit_count + List.length pairs;
-        let n = List.length pairs in
-        let coeffs = Array.make n 0 and plits = Array.make n 0 in
-        List.iteri
-          (fun i (a, l) ->
-            coeffs.(i) <- a;
-            plits.(i) <- l)
-          pairs;
-        let max_coeff = Array.fold_left max 0 coeffs in
-        let total = Array.fold_left ( + ) 0 coeffs in
-        let pb = { coeffs; plits; degree; slack = total - degree; max_coeff } in
-        Vec.push t.pbs pb;
-        Array.iteri
-          (fun i l -> Vec.push t.pb_watches.(l) { pbc = pb; w_coeff = coeffs.(i) })
-          plits;
-        (try pb_check t pb
-         with Conflict r ->
-           t.ok <- false;
-           log_refutation t r);
-        if t.ok then
-          match propagate t with
-          | None -> ()
-          | Some r ->
-            t.ok <- false;
-            log_refutation t r
+        let coeffs = Array.of_list (List.map fst pairs)
+        and plits = Array.of_list (List.map snd pairs) in
+        let i = Vec.size t.pbs in
+        Vec.push t.pbs { coeffs; plits; degree };
+        if i = Array.length t.pb_slack then begin
+          let grow a = Array.init (2 * i) (fun k -> if k < i then a.(k) else 0) in
+          t.pb_slack <- grow t.pb_slack;
+          t.pb_max <- grow t.pb_max
+        end;
+        t.pb_slack.(i) <- Array.fold_left ( + ) 0 coeffs - degree;
+        t.pb_max.(i) <- Array.fold_left max 0 coeffs;
+        Array.iteri (fun k l -> pairs_push t.pb_watches.(l) i coeffs.(k)) plits;
+        let r = pb_check t i in
+        let r = if r = none then propagate t else r in
+        if r <> none then begin
+          t.ok <- false;
+          log_refutation t r
+        end
       end
     end
   end
 
 (* -- conflict analysis ------------------------------------------------ *)
 
-(* Write into [buf] the clausal explanation of [r]: the literals (all
-   currently false) whose conjunction of negations implies [p] (or the
-   conflict when [p < 0]).  For PB reasons only literals falsified
+(* Write into [buf] the clausal explanation of reason [r]: the literals
+   (all currently false) whose conjunction of negations implies [p] (or
+   the conflict when [p < 0]).  For PB reasons only literals falsified
    before [p] participate. *)
 let explain t buf r p =
   Veci.clear buf;
-  (match r with
-  | No_reason -> assert false
-  | Reason_clause c ->
-    let n = Array.length c.lits in
-    for i = 0 to n - 1 do
-      let q = c.lits.(i) in
+  if r >= 0 then begin
+    let a = t.arena and base = r + hdr in
+    for i = 0 to c_size t r - 1 do
+      let q = a.(base + i) in
       if q <> p then Veci.push buf q
     done
-  | Reason_pb pb ->
+  end
+  else begin
+    assert (r <> none);
+    let pb = Vec.get t.pbs (pb_of_reason r) in
     let cutoff = if p >= 0 then t.trail_pos.(p lsr 1) else max_int in
     let n = Array.length pb.plits in
     for i = 0 to n - 1 do
@@ -741,7 +882,7 @@ let explain t buf r p =
     (* the clausal explanation is a lemma a DRUP checker cannot infer
        from the CNF: log it as a PB-implied addition so learnt clauses
        resolved against it stay RUP-checkable *)
-    (match t.proof with
+    match t.proof with
     | None -> ()
     | Some sink ->
       let lits = Array.make (Veci.size buf + if p >= 0 then 1 else 0) 0 in
@@ -755,17 +896,17 @@ let explain t buf r p =
           lits.(!k) <- q;
           incr k)
         buf;
-      sink (Step_pb lits)));
-  ()
+      sink (Step_pb lits)
+  end
 
 (* Is learnt literal [q] redundant, i.e. implied by the rest of the
    learnt clause?  One-step check: every literal of [q]'s reason is
    already seen or assigned at level 0. *)
 let lit_redundant t q =
   let v = q lsr 1 in
-  match t.reason.(v) with
-  | No_reason -> false
-  | r ->
+  let r = t.reason.(v) in
+  if r = none then false
+  else begin
     explain t t.explain_buf r (q lxor 1);
     let ok = ref true in
     Veci.iter
@@ -774,6 +915,7 @@ let lit_redundant t q =
         if not t.seen.(xv) && t.level.(xv) > 0 then ok := false)
       t.explain_buf;
     !ok
+  end
 
 (* -- final-conflict analysis (failed assumptions) --------------------- *)
 
@@ -782,7 +924,7 @@ let lit_redundant t q =
    [seed] is either the conflicting constraint or a single assumption
    literal that arrived already false.  Seed literals assigned above
    level 0 are marked, then the trail is walked top-down: a marked
-   pseudo-decision (reason [No_reason]) is an assumption and enters the
+   pseudo-decision (reason [none]) is an assumption and enters the
    core; a marked propagated literal is replaced by its reason's
    literals.  Only called when the conflict is confined to assumption
    levels, so every decision encountered is an assumption.  The proof
@@ -808,11 +950,12 @@ let analyze_final t seed =
       let v = l lsr 1 in
       if t.seen.(v) then begin
         t.seen.(v) <- false;
-        match t.reason.(v) with
-        | No_reason -> core := l :: !core
-        | r ->
+        let r = t.reason.(v) in
+        if r = none then core := l :: !core
+        else begin
           explain t t.explain_buf r l;
           Veci.iter mark t.explain_buf
+        end
       end
     done
   end;
@@ -848,9 +991,7 @@ let analyze t confl =
   let index = ref (Veci.size t.trail - 1) in
   let continue = ref true in
   while !continue do
-    (match !confl with
-    | Reason_clause c when c.learnt -> cla_bump t c
-    | _ -> ());
+    if !confl >= 0 && c_learnt t !confl then cla_bump t !confl;
     explain t t.explain_buf !confl !p;
     Veci.iter
       (fun q ->
@@ -905,23 +1046,76 @@ let record_learnt t lits lbd =
   (match t.export with
   | None -> ()
   | Some f -> f lits ~lbd (* the hook must copy if it retains [lits] *));
-  if Array.length lits = 1 then enqueue t lits.(0) No_reason
+  if Array.length lits = 1 then enqueue t lits.(0) none
   else begin
-    let c = { lits; learnt = true; activity = 0.; deleted = false; lbd; vsig = 0 } in
-    Vec.push t.learnts c;
+    let c = alloc_clause t lits ~learnt:true ~lbd in
+    Veci.push t.learnts c;
     attach_clause t c;
     cla_bump t c;
-    enqueue t lits.(0) (Reason_clause c)
+    enqueue t lits.(0) c
   end
+
+(* -- arena compaction --------------------------------------------------- *)
+
+(* Copy the live clauses into a fresh arena, problem clauses first, and
+   relocate every cref in place: watch lists keep their order, so the
+   search is unaffected.  The old header's LBD word is overwritten with
+   the forwarding cref.  Learnt activity slots are renumbered densely in
+   database order. *)
+let compact t =
+  let old = t.arena in
+  let live = t.arena_top - t.wasted in
+  let a = Array.make (max 1024 (live + (live / 2))) 0 in
+  let act = Array.make (max 64 (Veci.size t.learnts)) 0. in
+  let top = ref 0 and n_act = ref 0 in
+  let move vec =
+    for k = 0 to Veci.size vec - 1 do
+      let c = Veci.get vec k in
+      let words = hdr + (old.(c) lsr 2) in
+      Array.blit old c a !top words;
+      if old.(c) land learnt_bit <> 0 then begin
+        act.(!n_act) <- t.cla_act.(old.(c + 2));
+        a.(!top + 2) <- !n_act;
+        incr n_act
+      end;
+      old.(c + 1) <- !top;
+      Veci.set vec k !top;
+      top := !top + words
+    done
+  in
+  move t.clauses;
+  move t.learnts;
+  Array.iter
+    (fun ws ->
+      let d = ws.pdata in
+      let k = ref 1 in
+      while !k < ws.psize do
+        d.(!k) <- old.(d.(!k) + 1);
+        k := !k + 2
+      done)
+    t.watches;
+  (* reasons name live clauses (a reason is locked against deletion);
+     reasons left over from before a clause was retired are dropped *)
+  Veci.iter
+    (fun l ->
+      let v = l lsr 1 in
+      let r = t.reason.(v) in
+      if r >= 0 then
+        t.reason.(v) <- (if old.(r) land deleted_bit <> 0 then none else old.(r + 1)))
+    t.trail;
+  t.arena <- a;
+  t.arena_top <- !top;
+  t.wasted <- 0;
+  t.cla_act <- act;
+  t.n_act <- !n_act
+
+let maybe_compact t = if t.wasted > t.arena_top / 5 then compact t
 
 (* -- learnt clause DB reduction --------------------------------------- *)
 
 let locked t c =
-  Array.length c.lits > 0
-  &&
-  match t.reason.(c.lits.(0) lsr 1) with
-  | Reason_clause c' -> c' == c && value_lit t c.lits.(0) = 1
-  | _ -> false
+  let l0 = c_lit t c 0 in
+  t.reason.(l0 lsr 1) = c && value_lit t l0 = 1
 
 (* Glucose-style reduction: sort worst-first (high LBD, then low
    activity) and delete half, but never glue clauses (lbd <= 2),
@@ -929,13 +1123,13 @@ let locked t c =
    activity alone, so glue stays resident for the whole search. *)
 let reduce_db t =
   t.reduce_dbs <- t.reduce_dbs + 1;
-  let xs = Vec.to_list t.learnts in
   let xs =
     List.sort
-      (fun (a : clause) b ->
-        if a.lbd <> b.lbd then Int.compare b.lbd a.lbd
-        else Float.compare a.activity b.activity)
-      xs
+      (fun a b ->
+        let la = c_lbd t a and lb = c_lbd t b in
+        if la <> lb then Int.compare lb la
+        else Float.compare (c_activity t a) (c_activity t b))
+      (Veci.to_list t.learnts)
   in
   let target = List.length xs / 2 in
   let removed = ref 0 in
@@ -943,17 +1137,18 @@ let reduce_db t =
     (fun c ->
       if
         !removed < target
-        && Array.length c.lits > 2
-        && c.lbd > 2
+        && c_size t c > 2
+        && c_lbd t c > 2
         && not (locked t c)
       then begin
-        c.deleted <- true;
         incr removed;
-        log_step t (Step_delete (Array.copy c.lits));
-        detach_clause t c
+        log_step t (Step_delete (c_lits t c));
+        detach_clause t c;
+        delete_clause t c
       end)
     xs;
-  Vec.filter_in_place (fun c -> not c.deleted) t.learnts
+  Veci.filter_in_place (fun c -> not (c_deleted t c)) t.learnts;
+  maybe_compact t
 
 (* -- search ------------------------------------------------------------ *)
 
@@ -1001,9 +1196,11 @@ let search t assumptions nof_conflicts ~check_every ~checkpoint =
   let result = ref Unknown in
   (try
      while true do
-       match propagate t with
-       | Some confl ->
+       let confl = propagate t in
+       if confl <> none then begin
          t.conflicts <- t.conflicts + 1;
+         if confl >= 0 then t.clause_conflicts <- t.clause_conflicts + 1
+         else t.pb_conflicts <- t.pb_conflicts + 1;
          incr conflict_count;
          if decision_level t = 0 then begin
            t.ok <- false;
@@ -1029,13 +1226,14 @@ let search t assumptions nof_conflicts ~check_every ~checkpoint =
              raise (Found Unknown)
            end
          end
-       | None ->
+       end
+       else begin
          if !conflict_count >= nof_conflicts then begin
            cancel_until t 0;
            raise (Found Unknown)
          end;
          if
-           float_of_int (Vec.size t.learnts) >= t.max_learnts
+           float_of_int (Veci.size t.learnts) >= t.max_learnts
            && decision_level t > 0
          then reduce_db t;
          (* install pending assumptions as decisions *)
@@ -1050,7 +1248,7 @@ let search t assumptions nof_conflicts ~check_every ~checkpoint =
              raise (Found Unsat)
            | _ ->
              new_decision_level t;
-             enqueue t p No_reason
+             enqueue t p none
          end
          else begin
            let v = pick_branch_var t in
@@ -1058,9 +1256,10 @@ let search t assumptions nof_conflicts ~check_every ~checkpoint =
            else begin
              t.decisions <- t.decisions + 1;
              new_decision_level t;
-             enqueue t (Lit.of_var ~sign:t.polarity.(v) v) No_reason
+             enqueue t (Lit.of_var ~sign:t.polarity.(v) v) none
            end
          end
+       end
      done
    with Found r -> result := r);
   !result
@@ -1083,21 +1282,12 @@ let import_clause t (lits, lbd) =
     let lits = List.filter (fun l -> value_lit t l <> -1) lits in
     match lits with
     | [] -> t.ok <- false
-    | [ l ] -> (
-      enqueue t l No_reason;
-      match propagate t with None -> () | Some _ -> t.ok <- false)
+    | [ l ] ->
+      enqueue t l none;
+      if propagate t <> none then t.ok <- false
     | _ ->
-      let c =
-        {
-          lits = Array.of_list lits;
-          learnt = true;
-          activity = 0.;
-          deleted = false;
-          lbd;
-          vsig = 0;
-        }
-      in
-      Vec.push t.learnts c;
+      let c = alloc_clause t (Array.of_list lits) ~learnt:true ~lbd in
+      Veci.push t.learnts c;
       attach_clause t c;
       t.imported <- t.imported + 1
   end
@@ -1109,6 +1299,7 @@ let do_import t =
   match t.import with
   | Some f when not (proof_on t) -> List.iter (import_clause t) (f ())
   | _ -> ()
+
 
 (* -- inprocessing ------------------------------------------------------ *)
 
@@ -1152,24 +1343,29 @@ let n_eliminated t = t.n_elim
 let set_inprocess_hook t hook = t.inprocess <- hook
 
 (* Is the clause satisfied by the current level-0 assignment? *)
-let satisfied0 t c = Array.exists (fun l -> value_lit t l = 1) c.lits
+let satisfied0 t c = c_exists t c (fun l -> value_lit t l = 1)
 
-(* Remove a problem clause from the database, keeping its literals
-   reachable for [fold_clauses] when a proof is being logged. *)
-let remove_problem_clause t ~log c =
-  c.deleted <- true;
-  detach_clause t c;
-  t.lit_count <- t.lit_count - Array.length c.lits;
+(* Keep the problem clauses that are still live, then reclaim the
+   arena if enough of it is dead. *)
+let sweep_clauses t =
+  Veci.filter_in_place (fun c -> not (c_deleted t c)) t.clauses;
+  maybe_compact t
+
+(* Retire a problem clause from the database, keeping its literals
+   reachable for [fold_clauses] when a proof is being logged.  The
+   caller has already detached it. *)
+let retire_problem_clause t ~log c =
+  t.lit_count <- t.lit_count - c_size t c;
   if proof_on t then begin
-    if log then log_step t (Step_delete (Array.copy c.lits));
-    t.graveyard <- Array.copy c.lits :: t.graveyard
-  end
+    let lits = c_lits t c in
+    if log then log_step t (Step_delete lits);
+    t.graveyard <- Array.copy lits :: t.graveyard
+  end;
+  delete_clause t c
 
-(* Log the clausal form of a PB conflict hit during a probe, so the
-   clause about to be derived from the conflict stays RUP. *)
-let log_probe_conflict t r =
-  if proof_on t then
-    match r with Reason_pb pb -> log_pb_clause t pb (-1) | _ -> ()
+let remove_problem_clause t ~log c =
+  detach_clause t c;
+  retire_problem_clause t ~log c
 
 (* --- clause vivification --- *)
 
@@ -1182,6 +1378,7 @@ exception Viv_stop of int list * bool
    literal set is implied by the rest of the formula. *)
 let vivify_clause t c =
   detach_clause t c;
+  let lits = c_lits t c in
   t.probe_logging <- proof_on t;
   new_decision_level t;
   let kept, shortened =
@@ -1192,17 +1389,17 @@ let vivify_clause t c =
           match value_lit t l with
           | 1 ->
             (* prefix negation propagated [l]: prefix + l suffices *)
-            raise (Viv_stop (l :: !kept, !dropped || l <> c.lits.(Array.length c.lits - 1)))
+            raise (Viv_stop (l :: !kept, !dropped || l <> lits.(Array.length lits - 1)))
           | -1 -> dropped := true (* redundant literal: drop *)
           | _ ->
             kept := l :: !kept;
-            enqueue t (l lxor 1) No_reason;
-            (match propagate t with
-            | Some r ->
-              log_probe_conflict t r;
-              raise (Viv_stop (!kept, !dropped || List.length !kept < Array.length c.lits))
-            | None -> ()))
-        c.lits;
+            enqueue t (l lxor 1) none;
+            let r = propagate t in
+            if r <> none then begin
+              if proof_on t then log_pb_conflict t r;
+              raise (Viv_stop (!kept, !dropped || List.length !kept < Array.length lits))
+            end)
+        lits;
       (!kept, !dropped)
     with Viv_stop (kept, s) -> (kept, s)
   in
@@ -1213,16 +1410,11 @@ let vivify_clause t c =
     false
   end
   else begin
-    let lits = List.rev kept in
-    if proof_on t then log_step t (Step_rup (Array.of_list lits));
+    let kept = List.rev kept in
+    if proof_on t then log_step t (Step_rup (Array.of_list kept));
     (* the original is subsumed by its replacement: deletion is safe *)
-    c.deleted <- true;
-    t.lit_count <- t.lit_count - Array.length c.lits;
-    if proof_on t then begin
-      log_step t (Step_delete (Array.copy c.lits));
-      t.graveyard <- Array.copy c.lits :: t.graveyard
-    end;
-    ignore (add_clause_core t lits);
+    retire_problem_clause t ~log:true c;
+    ignore (add_clause_core t kept);
     true
   end
 
@@ -1232,27 +1424,27 @@ let vivify_clause t c =
 let vivify_pass ?(max_probes = 2000) t =
   if (not t.ok) || decision_level t <> 0 then 0
   else
-    match propagate t with
-    | Some r ->
+    let r = propagate t in
+    if r <> none then begin
       t.ok <- false;
       log_refutation t r;
       0
-    | None ->
-      let n = Vec.size t.clauses in
+    end
+    else begin
+      let n = Veci.size t.clauses in
       let probes = ref 0 and changed = ref 0 and scanned = ref 0 in
       while !probes < max_probes && !scanned < n && t.ok do
-        let i = t.viv_cursor mod max 1 (Vec.size t.clauses) in
+        let i = t.viv_cursor mod max 1 (Veci.size t.clauses) in
         t.viv_cursor <- t.viv_cursor + 1;
         incr scanned;
-        if Vec.size t.clauses > 0 then begin
-          let c = Vec.get t.clauses i in
+        if Veci.size t.clauses > 0 then begin
+          let c = Veci.get t.clauses i in
           if
-            (not c.deleted)
-            && Array.length c.lits >= 2
+            (not (c_deleted t c))
             && (not (satisfied0 t c))
             && not (locked t c)
           then begin
-            probes := !probes + Array.length c.lits;
+            probes := !probes + c_size t c;
             if vivify_clause t c then begin
               incr changed;
               t.n_vivified <- t.n_vivified + 1
@@ -1260,8 +1452,9 @@ let vivify_pass ?(max_probes = 2000) t =
           end
         end
       done;
-      Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.clauses;
+      sweep_clauses t;
       !changed
+    end
 
 (* --- subsumption / self-subsumption --- *)
 
@@ -1273,13 +1466,13 @@ let mem_lit (lits : int array) l = Array.exists (fun x -> x = l) lits
 (* Does [c] subsume [d] outright ([`Sub]), or subsume it modulo one
    flipped literal [l] (self-subsumption: resolving on [l] strengthens
    [d] to [d \ {neg l}])? *)
-let subsume_test (c : clause) (d : clause) =
+let subsume_test t c d =
   let flip = ref (-1) and ok = ref true in
-  Array.iter
-    (fun l ->
-      if !ok && not (mem_lit d.lits l) then
-        if !flip < 0 && mem_lit d.lits (l lxor 1) then flip := l else ok := false)
-    c.lits;
+  for i = 0 to c_size t c - 1 do
+    let l = c_lit t c i in
+    if !ok && not (c_mem t d l) then
+      if !flip < 0 && c_mem t d (l lxor 1) then flip := l else ok := false
+  done;
   if not !ok then `No else if !flip < 0 then `Sub else `Self !flip
 
 let subsume_pass ?(max_checks = 200_000) t =
@@ -1287,42 +1480,46 @@ let subsume_pass ?(max_checks = 200_000) t =
   else begin
     let changed = ref 0 and checks = ref 0 in
     let occ = Array.make (max 1 t.nvars) [] in
-    let enroll (c : clause) =
-      c.vsig <- clause_sig c.lits;
-      Array.iter (fun l -> let v = l lsr 1 in occ.(v) <- c :: occ.(v)) c.lits
+    let vsig = Hashtbl.create 64 in
+    let enroll c =
+      Hashtbl.replace vsig c (clause_sig (c_lits t c));
+      for i = 0 to c_size t c - 1 do
+        let v = c_lit t c i lsr 1 in
+        occ.(v) <- c :: occ.(v)
+      done
     in
     let queue = Queue.create () in
-    Vec.iter
-      (fun (c : clause) ->
-        if (not c.deleted) && not (satisfied0 t c) then begin
+    Veci.iter
+      (fun c ->
+        if (not (c_deleted t c)) && not (satisfied0 t c) then begin
           enroll c;
           Queue.add c queue
         end)
       t.clauses;
     (* fewest-occurrences literal of [c] keys the candidate scan *)
-    let best_var (c : clause) =
-      let bv = ref (c.lits.(0) lsr 1) in
-      Array.iter
-        (fun l ->
-          let v = l lsr 1 in
-          if List.length occ.(v) < List.length occ.(!bv) then bv := v)
-        c.lits;
+    let best_var c =
+      let bv = ref (c_lit t c 0 lsr 1) in
+      for i = 0 to c_size t c - 1 do
+        let v = c_lit t c i lsr 1 in
+        if List.length occ.(v) < List.length occ.(!bv) then bv := v
+      done;
       !bv
     in
     while (not (Queue.is_empty queue)) && !checks < max_checks && t.ok do
       let c = Queue.pop queue in
-      if (not c.deleted) && not (satisfied0 t c) then begin
+      if (not (c_deleted t c)) && not (satisfied0 t c) then begin
         let cands = occ.(best_var c) in
+        let csig = Hashtbl.find vsig c in
         List.iter
-          (fun (d : clause) ->
+          (fun d ->
             if
-              t.ok && d != c && (not d.deleted)
-              && Array.length d.lits >= Array.length c.lits
-              && c.vsig land d.vsig = c.vsig
+              t.ok && d <> c && (not (c_deleted t d))
+              && c_size t d >= c_size t c
+              && csig land Hashtbl.find vsig d = csig
               && not (satisfied0 t d)
             then begin
               incr checks;
-              match subsume_test c d with
+              match subsume_test t c d with
               | `No -> ()
               | `Sub ->
                 remove_problem_clause t ~log:true d;
@@ -1332,7 +1529,7 @@ let subsume_pass ?(max_checks = 200_000) t =
                 (* d' = d \ {neg l} is the resolvent of c and d on l
                    and is subsumed-checkable by RUP from both *)
                 let lits =
-                  Array.to_list d.lits |> List.filter (fun x -> x <> l lxor 1)
+                  Array.to_list (c_lits t d) |> List.filter (fun x -> x <> l lxor 1)
                 in
                 if proof_on t then log_step t (Step_rup (Array.of_list lits));
                 remove_problem_clause t ~log:true d;
@@ -1347,7 +1544,7 @@ let subsume_pass ?(max_checks = 200_000) t =
           cands
       end
     done;
-    Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.clauses;
+    sweep_clauses t;
     !changed
   end
 
@@ -1355,10 +1552,16 @@ let subsume_pass ?(max_checks = 200_000) t =
 
 (* Resolvent of [c] (contains var [v] positively) and [d] (negatively),
    or [None] if tautological. *)
-let resolve_on v (c : clause) (d : clause) =
+let resolve_on t v c d =
   let lits = ref [] in
-  Array.iter (fun l -> if l lsr 1 <> v then lits := l :: !lits) c.lits;
-  Array.iter (fun l -> if l lsr 1 <> v then lits := l :: !lits) d.lits;
+  let add c =
+    for i = 0 to c_size t c - 1 do
+      let l = c_lit t c i in
+      if l lsr 1 <> v then lits := l :: !lits
+    done
+  in
+  add c;
+  add d;
   let lits = List.sort_uniq Int.compare !lits in
   let rec taut = function
     | a :: (b :: _ as rest) -> (a lxor 1 = b && a lsr 1 = b lsr 1) || taut rest
@@ -1371,21 +1574,18 @@ let bve_pass ?(max_elims = 200) ?(occ_limit = 10) ?(len_limit = 16) t =
   else begin
     let occ_pos = Array.make (max 1 t.nvars) []
     and occ_neg = Array.make (max 1 t.nvars) [] in
-    let enroll (c : clause) =
-      Array.iter
-        (fun l ->
-          let v = l lsr 1 in
-          if l land 1 = 0 then occ_pos.(v) <- c :: occ_pos.(v)
-          else occ_neg.(v) <- c :: occ_neg.(v))
-        c.lits
+    let enroll c =
+      for i = 0 to c_size t c - 1 do
+        let l = c_lit t c i in
+        let v = l lsr 1 in
+        if l land 1 = 0 then occ_pos.(v) <- c :: occ_pos.(v)
+        else occ_neg.(v) <- c :: occ_neg.(v)
+      done
     in
-    Vec.iter
-      (fun (c : clause) ->
-        if (not c.deleted) && not (satisfied0 t c) then enroll c)
-      t.clauses;
+    let live c = (not (c_deleted t c)) && not (satisfied0 t c) in
+    Veci.iter (fun c -> if live c then enroll c) t.clauses;
     let eliminated_now = ref [] in
     let elims = ref 0 in
-    let live c = (not c.deleted) && not (satisfied0 t c) in
     let v = ref 0 in
     while !v < t.nvars && !elims < max_elims && t.ok do
       let var = !v in
@@ -1394,8 +1594,8 @@ let bve_pass ?(max_elims = 200) ?(occ_limit = 10) ?(len_limit = 16) t =
         (not t.frozen.(var))
         && (not t.eliminated.(var))
         && t.assigns.(var) = 0
-        && Vec.is_empty t.pb_watches.(2 * var)
-        && Vec.is_empty t.pb_watches.((2 * var) + 1)
+        && t.pb_watches.(2 * var).psize = 0
+        && t.pb_watches.((2 * var) + 1).psize = 0
       then begin
         let pos = List.filter live occ_pos.(var)
         and neg = List.filter live occ_neg.(var) in
@@ -1408,7 +1608,7 @@ let bve_pass ?(max_elims = 200) ?(occ_limit = 10) ?(len_limit = 16) t =
               List.iter
                 (fun d ->
                   if !fits then
-                    match resolve_on var c d with
+                    match resolve_on t var c d with
                     | None -> ()
                     | Some lits ->
                       if List.length lits > len_limit then fits := false
@@ -1424,8 +1624,8 @@ let bve_pass ?(max_elims = 200) ?(occ_limit = 10) ?(len_limit = 16) t =
                install the resolvents *)
             let stash =
               List.map
-                (fun (c : clause) ->
-                  let lits = Array.copy c.lits in
+                (fun c ->
+                  let lits = c_lits t c in
                   remove_problem_clause t ~log:false c;
                   lits)
                 (pos @ neg)
@@ -1453,20 +1653,20 @@ let bve_pass ?(max_elims = 200) ?(occ_limit = 10) ?(len_limit = 16) t =
     (* learnt clauses over an eliminated variable could re-assign it:
        drop them (their additions were logged, so log the deletions) *)
     if !eliminated_now <> [] then begin
-      Vec.iter
-        (fun (c : clause) ->
+      Veci.iter
+        (fun c ->
           if
-            (not c.deleted)
-            && Array.exists (fun l -> t.eliminated.(l lsr 1)) c.lits
+            (not (c_deleted t c))
+            && c_exists t c (fun l -> t.eliminated.(l lsr 1))
           then begin
-            c.deleted <- true;
-            log_step t (Step_delete (Array.copy c.lits));
-            detach_clause t c
+            log_step t (Step_delete (c_lits t c));
+            detach_clause t c;
+            delete_clause t c
           end)
         t.learnts;
-      Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.learnts
+      Veci.filter_in_place (fun c -> not (c_deleted t c)) t.learnts
     end;
-    Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.clauses;
+    sweep_clauses t;
     !elims
   end
 
@@ -1506,13 +1706,14 @@ type probe_result =
 let probe_lit t l =
   new_decision_level t;
   let before = Veci.size t.trail in
-  enqueue t l No_reason;
+  enqueue t l none;
   let r =
-    match propagate t with
-    | Some r ->
-      log_probe_conflict t r;
+    let confl = propagate t in
+    if confl = none then Veci.size t.trail - before
+    else begin
+      if proof_on t then log_pb_conflict t confl;
       -1
-    | None -> Veci.size t.trail - before
+    end
   in
   cancel_until t 0;
   r
@@ -1520,13 +1721,14 @@ let probe_lit t l =
 (* Learn the unit [l] discovered by a failed-literal probe. *)
 let assert_probed_unit t l =
   if proof_on t then log_step t (Step_rup [| l |]);
-  enqueue t l No_reason;
-  match propagate t with
-  | None -> false
-  | Some r ->
+  enqueue t l none;
+  let r = propagate t in
+  r <> none
+  && begin
     t.ok <- false;
     log_refutation t r;
     true
+  end
 
 let probe_var t v =
   if (not t.ok) || decision_level t <> 0 || t.assigns.(v) <> 0 || t.eliminated.(v)
@@ -1593,6 +1795,10 @@ let obs_sample t ~last_t ~last_confl ~last_prop =
       Obs.Metrics.set "solver.propagations" t.propagations;
       Obs.Metrics.set "solver.restarts" t.restarts;
       Obs.Metrics.set "solver.reduce_dbs" t.reduce_dbs;
+      Obs.Metrics.set "solver.clause_props" t.clause_props;
+      Obs.Metrics.set "solver.pb_props" t.pb_props;
+      Obs.Metrics.set "solver.clause_conflicts" t.clause_conflicts;
+      Obs.Metrics.set "solver.pb_conflicts" t.pb_conflicts;
       Obs.Metrics.set "solver.learnts_live" l.live;
       Obs.Metrics.observe "solver.trail_depth" trail;
       if dt > 0. then begin
@@ -1632,20 +1838,21 @@ let solve_main ?(assumptions = []) ?(max_conflicts = max_int) ?budget t =
   end
   else begin
     cancel_until t 0;
-    match propagate t with
-    | Some r ->
+    let r = propagate t in
+    if r <> none then begin
       t.ok <- false;
       log_refutation t r;
       t.core <- Some [||];
       Unsat
-    | None ->
+    end
+    else begin
       (* assumption variables must keep their input meaning across this
          and future solves: freeze them (reintroducing any that BVE
          already eliminated) before inprocessing can run *)
       List.iter (fun l -> freeze t (l lsr 1)) assumptions;
       let assumptions = Array.of_list assumptions in
       t.max_learnts <-
-        max 1000. (float_of_int (Vec.size t.clauses + Vec.size t.pbs) /. 3.);
+        max 1000. (float_of_int (Veci.size t.clauses + Vec.size t.pbs) /. 3.);
       (* thread the shared budget through the search: conflicts and
          propagations consumed here are charged as deltas, and the
          tripwires are polled at the budget's conflict cadence *)
@@ -1727,6 +1934,7 @@ let solve_main ?(assumptions = []) ?(max_conflicts = max_int) ?budget t =
         cancel_until t 0;
         !result
       end
+    end
   end
 
 let solve ?assumptions ?max_conflicts ?budget t =
@@ -1768,12 +1976,11 @@ let unsat_core t =
    preserve satisfiability), and the proof graveyard keeps it a
    superset of every clause a logged trace may reference. *)
 let fold_clauses f acc t =
-  let acc =
-    Vec.fold
-      (fun acc (c : clause) ->
-        if c.deleted then acc else f acc (Array.to_list c.lits))
-      acc t.clauses
-  in
+  let acc = ref acc in
+  Veci.iter
+    (fun c -> if not (c_deleted t c) then acc := f !acc (Array.to_list (c_lits t c)))
+    t.clauses;
+  let acc = !acc in
   let acc =
     List.fold_left
       (fun acc (_, stash) ->

@@ -299,6 +299,18 @@ val n_reduce_dbs : t -> int
 val n_imported : t -> int
 (** Clauses adopted through the import hook (portfolio sharing). *)
 
+(** Attribution of propagation work between the clause engine and the
+    PB engine.  [n_clause_props] / [n_pb_props] count literals enqueued
+    with a clause / PB constraint as their reason, in every propagation
+    (search, probes, level-0 simplification).  [n_clause_conflicts] /
+    [n_pb_conflicts] split the search conflicts of {!n_conflicts} by
+    the kind of constraint that raised them, so the two sum to it. *)
+
+val n_clause_props : t -> int
+val n_pb_props : t -> int
+val n_clause_conflicts : t -> int
+val n_pb_conflicts : t -> int
+
 type lbd_summary = {
   live : int;  (** learnt clauses currently in the database *)
   glue : int;  (** of which glue ([lbd <= 2]) *)

@@ -1,6 +1,7 @@
-(* Growable polymorphic vector used throughout the solver.  A [dummy]
-   element is required to fill unused capacity, which avoids boxing via
-   [Obj] tricks and keeps the implementation safe. *)
+(* Growable polymorphic vector, used for the solver's PB constraints
+   and the proof checker's occurrence lists.  A [dummy] element is
+   required to fill unused capacity, which avoids boxing via [Obj]
+   tricks and keeps the implementation safe. *)
 
 type 'a t = {
   mutable data : 'a array;
@@ -12,19 +13,10 @@ let create ?(capacity = 16) dummy =
   { data = Array.make (max capacity 1) dummy; size = 0; dummy }
 
 let size t = t.size
-let is_empty t = t.size = 0
-
-let clear t =
-  Array.fill t.data 0 t.size t.dummy;
-  t.size <- 0
 
 let get t i =
   assert (i >= 0 && i < t.size);
   Array.unsafe_get t.data i
-
-let set t i x =
-  assert (i >= 0 && i < t.size);
-  Array.unsafe_set t.data i x
 
 let grow t =
   let n = Array.length t.data in
@@ -37,61 +29,9 @@ let push t x =
   Array.unsafe_set t.data t.size x;
   t.size <- t.size + 1
 
-let pop t =
-  assert (t.size > 0);
-  t.size <- t.size - 1;
-  let x = Array.unsafe_get t.data t.size in
-  Array.unsafe_set t.data t.size t.dummy;
-  x
-
-let last t = get t (t.size - 1)
-
-let shrink t n =
-  assert (n >= 0 && n <= t.size);
-  Array.fill t.data n (t.size - n) t.dummy;
-  t.size <- n
-
-(* Remove the first occurrence of [x] (physical or structural equality via
-   [eq]) by swapping with the last element.  Order is not preserved. *)
-let swap_remove ~eq t x =
-  let rec find i =
-    if i >= t.size then false
-    else if eq (Array.unsafe_get t.data i) x then begin
-      t.size <- t.size - 1;
-      Array.unsafe_set t.data i (Array.unsafe_get t.data t.size);
-      Array.unsafe_set t.data t.size t.dummy;
-      true
-    end
-    else find (i + 1)
-  in
-  find 0
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f (Array.unsafe_get t.data i)
-  done
-
-let exists p t =
-  let rec go i = i < t.size && (p (Array.unsafe_get t.data i) || go (i + 1)) in
-  go 0
-
 let fold f acc t =
   let acc = ref acc in
   for i = 0 to t.size - 1 do
     acc := f !acc (Array.unsafe_get t.data i)
   done;
   !acc
-
-let to_list t = List.init t.size (fun i -> t.data.(i))
-
-(* Keep only elements satisfying [p]; preserves order. *)
-let filter_in_place p t =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let x = Array.unsafe_get t.data i in
-    if p x then begin
-      Array.unsafe_set t.data !j x;
-      incr j
-    end
-  done;
-  shrink t !j

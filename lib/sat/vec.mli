@@ -7,26 +7,6 @@ val create : ?capacity:int -> 'a -> 'a t
 (** [create dummy] — the dummy is stored in unused slots. *)
 
 val size : 'a t -> int
-val is_empty : 'a t -> bool
-val clear : 'a t -> unit
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a
-val last : 'a t -> 'a
-
-val shrink : 'a t -> int -> unit
-(** Keep only the first [n] elements. *)
-
-val swap_remove : eq:('a -> 'a -> bool) -> 'a t -> 'a -> bool
-(** Remove the first element equal to the argument by swapping the last
-    element into its place; order is not preserved.  Returns whether an
-    element was removed. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val to_list : 'a t -> 'a list
-
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** Keep only elements satisfying the predicate; preserves order. *)

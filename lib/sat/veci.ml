@@ -38,6 +38,17 @@ let pop t =
 let last t = get t (t.size - 1)
 let shrink t n = assert (n >= 0 && n <= t.size); t.size <- n
 
+let filter_in_place p t =
+  let j = ref 0 in
+  for i = 0 to t.size - 1 do
+    let x = Array.unsafe_get t.data i in
+    if p x then begin
+      Array.unsafe_set t.data !j x;
+      incr j
+    end
+  done;
+  t.size <- !j
+
 let iter f t =
   for i = 0 to t.size - 1 do
     f (Array.unsafe_get t.data i)

@@ -17,6 +17,9 @@ val last : t -> int
 val shrink : t -> int -> unit
 (** Keep only the first [n] elements. *)
 
+val filter_in_place : (int -> bool) -> t -> unit
+(** Keep only the elements satisfying the predicate, in order. *)
+
 val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list
 val to_array : t -> int array

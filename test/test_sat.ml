@@ -599,21 +599,13 @@ let test_statistics_monotone () =
 
 let test_vec_operations () =
   let v = Vec.create (-1) in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
+  Alcotest.(check int) "empty" 0 (Vec.size v);
   for i = 0 to 99 do
     Vec.push v i
   done;
   Alcotest.(check int) "size" 100 (Vec.size v);
   Alcotest.(check int) "get" 42 (Vec.get v 42);
-  Vec.set v 42 1000;
-  Alcotest.(check int) "set" 1000 (Vec.get v 42);
-  Alcotest.(check int) "pop" 99 (Vec.pop v);
-  Alcotest.(check bool) "swap_remove hit" true (Vec.swap_remove ~eq:Int.equal v 50);
-  Alcotest.(check bool) "swap_remove miss" false (Vec.swap_remove ~eq:Int.equal v 50);
-  Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check bool) "filtered" true (Vec.fold (fun acc x -> acc && x mod 2 = 0) true v);
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.size v)
+  Alcotest.(check int) "fold" 4950 (Vec.fold ( + ) 0 v)
 
 let test_veci_operations () =
   let v = Veci.create () in
@@ -627,7 +619,9 @@ let test_veci_operations () =
   Alcotest.(check (list int)) "to_list prefix" [ 0; 1; 2 ]
     (List.filteri (fun i _ -> i < 3) (Veci.to_list v));
   Veci.shrink v 10;
-  Alcotest.(check int) "shrunk" 10 (Veci.size v)
+  Alcotest.(check int) "shrunk" 10 (Veci.size v);
+  Veci.filter_in_place (fun x -> x mod 3 = 0) v;
+  Alcotest.(check (list int)) "filtered in order" [ 0; 3; 6; 9 ] (Veci.to_list v)
 
 let test_order_heap () =
   let activity = ref (Array.make 8 0.) in
@@ -808,6 +802,222 @@ let test_inprocess_incremental_assumptions () =
   Alcotest.(check bool) "core mentions the assumptions" true
     (Solver.unsat_core s <> [])
 
+(* --- golden search trajectories ---
+
+   The exact (conflicts, decisions, propagations, restarts, learnt
+   total, learnt-database reductions) of fixed jobs=1 runs, recorded
+   before the clause arena replaced boxed clauses.  A change to the
+   solver's data layout must leave the search bit-identical; any change
+   here is a change to the search itself and needs its own
+   justification. *)
+
+module Rng = Taskalloc_workloads.Rng
+module Fuzz = Taskalloc_fuzz.Fuzz
+module Proof = Taskalloc_proof.Proof
+
+let trajectory s =
+  [
+    Solver.n_conflicts s;
+    Solver.n_decisions s;
+    Solver.n_propagations s;
+    Solver.n_restarts s;
+    Solver.n_learnt_total s;
+    Solver.n_reduce_dbs s;
+  ]
+
+let distinct_dimacs_vars rng ~n k =
+  let rec go acc =
+    if List.length acc = k then acc
+    else
+      let v = Rng.range rng 1 n in
+      go (if List.mem v acc then acc else v :: acc)
+  in
+  List.rev_map (fun v -> if Rng.bool rng 0.5 then v else -v) (go [])
+
+(* Uniform random 3-SAT at the satisfiability threshold (m = 4.26 n),
+   drawn from the generator stream {!Fuzz.gen_cnf} uses.  The fuzz
+   generators themselves are sized for a brute-force oracle and settle
+   within a dozen conflicts, too few to pin a search trajectory. *)
+let random_3sat ~seed ~n =
+  let rng = Rng.create seed in
+  let m = 426 * n / 100 in
+  { Dimacs.num_vars = n; clauses = List.init m (fun _ -> distinct_dimacs_vars rng ~n 3) }
+
+(* Random normalized PB [>=] constraints over [n] variables, each over
+   five distinct variables with a degree near 2/5 of its coefficient
+   sum. *)
+let random_pb ~seed ~n ~m =
+  let rng = Rng.create seed in
+  List.init m (fun _ ->
+      let terms =
+        List.map (fun l -> (Rng.range rng 1 4, l)) (distinct_dimacs_vars rng ~n 5)
+      in
+      let total = List.fold_left (fun acc (a, _) -> acc + a) 0 terms in
+      { Proof.terms; degree = (2 * total / 5) + Rng.range rng 0 1 })
+
+let add_pb_dimacs s { Proof.terms; degree } =
+  Solver.add_pb_geq s (List.map (fun (a, l) -> (a, Lit.of_dimacs l)) terms) degree
+
+(* Solve under x0, then under ~x0, then unconditionally: the learnts
+   of the first two calls outgrow the third call's fresh learnt limit,
+   so the learnt database is reduced and compacted mid-trajectory. *)
+let incremental_answers s =
+  List.map
+    (fun assumptions -> Solver.solve ~assumptions s)
+    [ [ lit 0 ]; [ nlit 0 ]; [] ]
+
+let test_golden_trajectories () =
+  let answers = Alcotest.list check_result in
+  let s = pigeonhole_solver 6 in
+  Alcotest.check check_result "php(6,5) answer" Solver.Unsat (Solver.solve s);
+  Alcotest.(check (list int)) "php(6,5)" [ 155; 201; 1790; 2; 154; 0 ] (trajectory s);
+  let s = Dimacs.load (random_3sat ~seed:5 ~n:160) in
+  Alcotest.check answers "3-sat answers" [ Solver.Unsat; Solver.Unsat; Solver.Unsat ]
+    (incremental_answers s);
+  Alcotest.(check (list int)) "3-sat n=160" [ 2800; 3374; 86309; 20; 2797; 3 ] (trajectory s);
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 300);
+  List.iter (add_pb_dimacs s) (random_pb ~seed:11 ~n:300 ~m:440);
+  Alcotest.check answers "random pb answers" [ Solver.Unsat; Solver.Unsat; Solver.Unsat ]
+    (incremental_answers s);
+  Alcotest.(check (list int)) "random pb n=300" [ 1764; 2220; 81436; 14; 1761; 2 ] (trajectory s)
+
+(* --- clause-database lifecycle ---
+
+   PHP(8,7) behind a guard literal [g]: pigeon clauses [~g; x_p0..x_p6],
+   holes 0-3 as PB at-most-one constraints [7 ~g + sum ~x_ph >= 7] and
+   holes 4-6 as guarded binary exclusions [~g; ~x_ph; ~x_qh].  Under the
+   assumption [g] it is Unsat after thousands of conflicts; with [g]
+   free, [~g] satisfies it.  Returns the guard, the pigeon variables
+   and the formula as added, in DIMACS literals. *)
+let guarded_php s =
+  let g = Solver.new_var s in
+  let x = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Solver.new_var s)) in
+  let clauses = ref [] and pbs = ref [] in
+  let clause ls =
+    Solver.add_clause s ls;
+    clauses := List.map Lit.to_dimacs ls :: !clauses
+  in
+  let pb terms degree =
+    let c = { Proof.terms = List.map (fun (a, l) -> (a, Lit.to_dimacs l)) terms; degree } in
+    add_pb_dimacs s c;
+    pbs := c :: !pbs
+  in
+  for p = 0 to 7 do
+    clause (nlit g :: List.init 7 (fun h -> lit x.(p).(h)))
+  done;
+  for h = 0 to 6 do
+    if h < 4 then pb ((7, nlit g) :: List.init 8 (fun p -> (1, nlit x.(p).(h)))) 7
+    else
+      for p = 0 to 7 do
+        for q = p + 1 to 7 do
+          clause [ nlit g; nlit x.(p).(h); nlit x.(q).(h) ]
+        done
+      done
+  done;
+  (g, x, clauses, pbs)
+
+(* One solver goes through the whole clause-database lifecycle:
+   learnt-database reduction and compaction, vivification and
+   subsumption detaching and reattaching clauses, BVE stashing the
+   clause-only pigeon variables and a fuzz case reintroducing them.
+   The case's even variables are mapped onto those pigeon variables,
+   its odd ones onto fresh variables; with [g] free the guarded
+   pigeonhole is satisfied by [~g], so the answer is the case's own,
+   which the brute-force oracle decides. *)
+let prop_lifecycle =
+  QCheck.Test.make ~count:8 ~name:"clause database lifecycle: models, proofs, oracle"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let case = Fuzz.gen_case ~seed ~max_vars:10 in
+      let s = Solver.create () in
+      let trace = Proof.record s in
+      Inprocess.install ~every:500 s;
+      let g, x, clauses, pbs = guarded_php s in
+      if Solver.solve ~assumptions:[ lit g ] s <> Solver.Unsat then
+        QCheck.Test.fail_report "guarded php(8,7) is not Unsat under its guard";
+      (* the learnts of that refutation outgrow this call's fresh limit *)
+      if Solver.solve s <> Solver.Sat then
+        QCheck.Test.fail_report "guarded php(8,7) is not Sat with its guard free";
+      if Solver.n_reduce_dbs s = 0 then QCheck.Test.fail_report "no learnt-database reduction";
+      let nv = match case with Fuzz.Cnf c -> c.Dimacs.num_vars | Fuzz.Pb p -> p.Fuzz.pb_vars in
+      let var_of =
+        Array.init nv (fun i ->
+            if i mod 2 = 0 then x.(i / 2).(4 + (i / 2 mod 3)) else Solver.new_var s)
+      in
+      let map l = Lit.to_dimacs (Lit.of_var ~sign:(l > 0) var_of.(Stdlib.abs l - 1)) in
+      (match case with
+      | Fuzz.Cnf c ->
+        List.iter
+          (fun c ->
+            let c = List.map map c in
+            Solver.add_clause s (List.map Lit.of_dimacs c);
+            clauses := c :: !clauses)
+          c.Dimacs.clauses
+      | Fuzz.Pb p ->
+        List.iter
+          (fun { Proof.terms; degree } ->
+            let c = { Proof.terms = List.map (fun (a, l) -> (a, map l)) terms; degree } in
+            add_pb_dimacs s c;
+            pbs := c :: !pbs)
+          p.Fuzz.constraints);
+      match Solver.solve s with
+      | Solver.Sat ->
+        let value l = Solver.model_value s l in
+        Fuzz.oracle case
+        && Solver.fold_clauses (fun ok c -> ok && List.exists value c) true s
+        && Solver.fold_pbs
+             (fun ok (terms, degree) ->
+               ok
+               && List.fold_left (fun acc (a, l) -> if value l then acc + a else acc) 0 terms
+                  >= degree)
+             true s
+      | Solver.Unsat ->
+        (not (Fuzz.oracle case))
+        && Proof.check ~pbs:!pbs
+             { Dimacs.num_vars = Solver.n_vars s; clauses = !clauses }
+             (trace ())
+      | Solver.Unknown -> false)
+
+let test_attribution_counters () =
+  (* clause-only PHP: every propagation and conflict is the clause
+     engine's; the two conflict counters always sum to n_conflicts *)
+  let s = pigeonhole_solver 6 in
+  ignore (Solver.solve s);
+  Alcotest.(check int) "php: no pb props" 0 (Solver.n_pb_props s);
+  Alcotest.(check int) "php: no pb conflicts" 0 (Solver.n_pb_conflicts s);
+  Alcotest.(check bool) "php: clause props" true (Solver.n_clause_props s > 0);
+  Alcotest.(check int) "php: clause conflicts" (Solver.n_conflicts s)
+    (Solver.n_clause_conflicts s);
+  (* PB pigeonhole: holes as native at-most-one constraints *)
+  let s = Solver.create () in
+  let x = Array.init 7 (fun _ -> Array.init 6 (fun _ -> Solver.new_var s)) in
+  Array.iter (fun row -> Solver.add_clause s (Array.to_list (Array.map lit row))) x;
+  for h = 0 to 5 do
+    Solver.add_at_most_one s (List.init 7 (fun p -> lit x.(p).(h)))
+  done;
+  Alcotest.check check_result "pb php unsat" Solver.Unsat (Solver.solve s);
+  Alcotest.(check bool) "pb php: pb props" true (Solver.n_pb_props s > 0);
+  Alcotest.(check bool) "pb php: pb conflicts" true (Solver.n_pb_conflicts s > 0);
+  Alcotest.(check int) "pb php: conflicts split"
+    (Solver.n_conflicts s)
+    (Solver.n_clause_conflicts s + Solver.n_pb_conflicts s)
+
+let test_golden_allocator_lazy () =
+  let open Taskalloc_core in
+  let options =
+    { Encode.default_options with Encode.lazy_mode = true; inprocess = Some false }
+  in
+  let problem = Taskalloc_workloads.Workloads.task_scaling ~seed:42 ~n:12 () in
+  match Allocator.solve ~options ~jobs:1 problem (Encode.Min_trt 0) with
+  | Allocator.Solved r ->
+    let st = r.Allocator.stats in
+    Alcotest.(check (list int))
+      "tasks12 lazy: cost, probes, conflicts, decisions, propagations"
+      [ 10; 6; 144; 460; 32235 ]
+      [ r.Allocator.cost; st.probes; st.conflicts; st.decisions; st.propagations ]
+  | Allocator.Infeasible | Allocator.Unknown -> Alcotest.fail "tasks12 has an optimum"
+
 let suite =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
@@ -856,7 +1066,11 @@ let suite =
     Alcotest.test_case "inprocess run_passes" `Quick test_inprocess_run_passes;
     Alcotest.test_case "inprocess incremental assumptions" `Quick
       test_inprocess_incremental_assumptions;
+    Alcotest.test_case "golden trajectories" `Quick test_golden_trajectories;
+    Alcotest.test_case "golden allocator lazy" `Quick test_golden_allocator_lazy;
+    Alcotest.test_case "attribution counters" `Quick test_attribution_counters;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_pb_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_unsat_core_valid;
+    QCheck_alcotest.to_alcotest ~long:true prop_lifecycle;
   ]
