@@ -574,9 +574,11 @@ echo "$out" | grep -q "speedup" || {
 
 # repository benchmark, one pass each: every instance must reach its
 # known optimum (or formula size) and pass Check and Sim, so a solver
-# change that breaks an answer fails here before any timing is read
+# change that breaks an answer fails here before any timing is read;
+# daemon-mix checks the daemon's answers (solve against an in-process
+# eager optimum, repairs re-checked by Check and Sim)
 echo "== benchmark correctness smoke =="
-for wl in "formula --seed 7" "paper-lazy --seed 42"; do
+for wl in "formula --seed 7" "paper-lazy --seed 42" "daemon-mix --seed 42"; do
     line=$(python3 perfbench/run.py --workload $wl --seconds 1 --trace 0 | tail -n 1)
     echo "$line" | grep -q '"correct": true' \
         && echo "$line" | grep -q '"failed": 0[,}]' || {

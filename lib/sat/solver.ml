@@ -13,18 +13,23 @@
      float store indexed by the header's slot.  Deleting a clause only
      sets its flag; once the dead words pass a fifth of the arena it is
      compacted MiniSat-style, relocating every cref in place.
-   - Watch lists: one int vector per literal of interleaved
-     [(blocker, cref)] pairs.  A satisfied blocker keeps the watch
-     without touching the arena.
+   - Watch lists: per literal [l], the first [wsize.(l)] words of
+     [wdata.(l)] hold interleaved [(blocker, cref)] pairs.  Every
+     literal starts out sharing one empty array and gets its own only
+     on its first push, so creating a variable allocates nothing per
+     literal; a push allocates only when a list outgrows its array.  A
+     satisfied blocker keeps the watch without touching the arena.
    - Reasons: one [int array] of codes, [none], a cref (>= 0) or an
      encoded PB index (<= -2).
    - PB constraints [sum a_i * l_i >= b] (a_i > 0) are propagated with
      the counter method: each keeps its slack
      [sum over non-false l_i of a_i - b] in a flat [int array], updated
      eagerly on assignment and unassignment through per-literal
-     [(pb index, coeff)] watch pairs.  A constraint is conflicting when
-     slack < 0 and propagates every unassigned literal whose
-     coefficient exceeds the slack.
+     [(pb index, coeff)] watch pairs, stored like the clause watches in
+     [pb_wdata]/[pb_wsize].  Whether a literal occurs in any PB is one
+     load from [pb_wsize].  A constraint is conflicting when slack < 0
+     and propagates every unassigned literal whose coefficient exceeds
+     the slack.
 
    Conflict analysis sees PB constraints through clausal explanations
    (the propagated literal together with the literals of the
@@ -65,22 +70,27 @@ let hdr = 3
 let learnt_bit = 1
 let deleted_bit = 2
 
-(* A growable int vector of pairs: [(blocker, cref)] clause watches or
-   [(pb index, coeff)] PB watches. *)
-type pairs = { mutable pdata : int array; mutable psize : int }
+(* Per-literal lists of int pairs, [(blocker, cref)] clause watches or
+   [(pb index, coeff)] PB watches: list [l] is the first [size.(l)]
+   words of [data.(l)].  Lists that never received a push share
+   [no_pairs]. *)
+let no_pairs : int array = [||]
 
-let pairs_create () = { pdata = Array.make 4 0; psize = 0 }
-
-let pairs_push ps a b =
-  let n = ps.psize in
-  if n + 2 > Array.length ps.pdata then begin
-    let d = Array.make (2 * Array.length ps.pdata) 0 in
-    Array.blit ps.pdata 0 d 0 n;
-    ps.pdata <- d
-  end;
-  Array.unsafe_set ps.pdata n a;
-  Array.unsafe_set ps.pdata (n + 1) b;
-  ps.psize <- n + 2
+let push_pair data size l a b =
+  let n = size.(l) in
+  let d = data.(l) in
+  let d =
+    if n + 2 <= Array.length d then d
+    else begin
+      let d' = Array.make (max 4 (2 * Array.length d)) 0 in
+      Array.blit d 0 d' 0 n;
+      data.(l) <- d';
+      d'
+    end
+  in
+  Array.unsafe_set d n a;
+  Array.unsafe_set d (n + 1) b;
+  size.(l) <- n + 2
 
 (* Diversification knobs.  [default_config] reproduces the historical
    hard-wired behavior exactly, so applying it is observationally a
@@ -159,9 +169,11 @@ type t = {
   mutable seen : bool array;
   activity : float array ref;
   order : Order_heap.t;
-  (* per-literal watch lists *)
-  mutable watches : pairs array;
-  mutable pb_watches : pairs array;
+  (* per-literal watch lists (see [push_pair]) *)
+  mutable wdata : int array array; (* clause watches *)
+  mutable wsize : int array;
+  mutable pb_wdata : int array array; (* PB watches *)
+  mutable pb_wsize : int array;
   (* clause arena (see the header comment) *)
   mutable arena : int array;
   mutable arena_top : int; (* first free word *)
@@ -220,6 +232,7 @@ type t = {
   (* scratch buffers *)
   explain_buf : Veci.t;
   learnt_buf : Veci.t;
+  mutable add_buf : int array; (* sorted literals of [add_clause_core] *)
 }
 
 let create () =
@@ -247,8 +260,10 @@ let create () =
     seen = Array.make 16 false;
     activity;
     order = Order_heap.create activity;
-    watches = Array.init 32 (fun _ -> pairs_create ());
-    pb_watches = Array.init 32 (fun _ -> pairs_create ());
+    wdata = Array.make 32 no_pairs;
+    wsize = Array.make 32 0;
+    pb_wdata = Array.make 32 no_pairs;
+    pb_wsize = Array.make 32 0;
     arena = Array.make 1024 0;
     arena_top = 0;
     wasted = 0;
@@ -292,6 +307,7 @@ let create () =
     proof = None;
     explain_buf = Veci.create ();
     learnt_buf = Veci.create ();
+    add_buf = Array.make 16 0;
   }
 
 let n_vars t = t.nvars
@@ -425,29 +441,28 @@ let grow_arrays t cap =
   let old = Array.length t.assigns in
   if cap > old then begin
     let n = max cap (2 * old) in
-    let copy a fill =
-      let b = Array.make n fill in
-      Array.blit a 0 b 0 old;
+    let copy len a fill =
+      let b = Array.make len fill in
+      Array.blit a 0 b 0 (Array.length a);
       b
     in
-    t.assigns <- copy t.assigns 0;
-    t.level <- copy t.level 0;
-    t.reason <- copy t.reason none;
-    t.trail_pos <- copy t.trail_pos 0;
-    t.polarity <- copy t.polarity false;
-    t.seen <- copy t.seen false;
-    t.frozen <- copy t.frozen false;
-    t.eliminated <- copy t.eliminated false;
-    t.activity := copy !(t.activity) 0.;
+    t.assigns <- copy n t.assigns 0;
+    t.level <- copy n t.level 0;
+    t.reason <- copy n t.reason none;
+    t.trail_pos <- copy n t.trail_pos 0;
+    t.polarity <- copy n t.polarity false;
+    t.seen <- copy n t.seen false;
+    t.frozen <- copy n t.frozen false;
+    t.eliminated <- copy n t.eliminated false;
+    t.activity := copy n !(t.activity) 0.;
     (* decision levels range over [0, nvars], hence the +1 *)
     t.lbd_stamp <- Array.make (n + 1) 0;
     t.lbd_tick <- 0;
-    let oldw = Array.length t.watches in
-    if 2 * n > oldw then begin
-      let grow ws = Array.init (2 * n) (fun i -> if i < oldw then ws.(i) else pairs_create ()) in
-      t.watches <- grow t.watches;
-      t.pb_watches <- grow t.pb_watches
-    end
+    (* two literals per variable *)
+    t.wdata <- copy (2 * n) t.wdata no_pairs;
+    t.wsize <- copy (2 * n) t.wsize 0;
+    t.pb_wdata <- copy (2 * n) t.pb_wdata no_pairs;
+    t.pb_wsize <- copy (2 * n) t.pb_wsize 0
   end
 
 let new_var t =
@@ -547,14 +562,16 @@ let enqueue t l r =
   t.trail_pos.(v) <- Veci.size t.trail;
   t.polarity.(v) <- l land 1 = 0;
   Veci.push t.trail l;
-  let pw = t.pb_watches.(l lxor 1) in
-  let d = pw.pdata and slack = t.pb_slack in
-  let k = ref 0 in
-  while !k < pw.psize do
-    let i = Array.unsafe_get d !k in
-    slack.(i) <- slack.(i) - Array.unsafe_get d (!k + 1);
-    k := !k + 2
-  done
+  let n = t.pb_wsize.(l lxor 1) in
+  if n > 0 then begin
+    let d = t.pb_wdata.(l lxor 1) and slack = t.pb_slack in
+    let k = ref 0 in
+    while !k < n do
+      let i = Array.unsafe_get d !k in
+      slack.(i) <- slack.(i) - Array.unsafe_get d (!k + 1);
+      k := !k + 2
+    done
+  end
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
@@ -566,14 +583,16 @@ let cancel_until t lvl =
       t.assigns.(v) <- 0;
       t.reason.(v) <- none;
       if not (Order_heap.in_heap t.order v) then Order_heap.insert t.order v;
-      let pw = t.pb_watches.(l lxor 1) in
-      let d = pw.pdata in
-      let k = ref 0 in
-      while !k < pw.psize do
-        let i = Array.unsafe_get d !k in
-        slack.(i) <- slack.(i) + Array.unsafe_get d (!k + 1);
-        k := !k + 2
-      done
+      let n = t.pb_wsize.(l lxor 1) in
+      if n > 0 then begin
+        let d = t.pb_wdata.(l lxor 1) in
+        let k = ref 0 in
+        while !k < n do
+          let i = Array.unsafe_get d !k in
+          slack.(i) <- slack.(i) + Array.unsafe_get d (!k + 1);
+          k := !k + 2
+        done
+      end
     done;
     Veci.shrink t.trail bound;
     Veci.shrink t.trail_lim lvl;
@@ -622,12 +641,11 @@ let propagate t =
     let p = Veci.get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
-    (* clause watches: clauses in [watches.(p)] have a watched literal
+    (* clause watches: clauses in the list of [p] have a watched literal
        equal to [np], which is now false.  A watch moves only to the
-       list of a different literal, so [ws] keeps its array. *)
+       list of a different literal, so [wd] stays the list's array. *)
     let np = p lxor 1 in
-    let ws = t.watches.(p) in
-    let wd = ws.pdata and n = ws.psize in
+    let wd = t.wdata.(p) and n = t.wsize.(p) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
       let blocker = Array.unsafe_get wd !i and c = Array.unsafe_get wd (!i + 1) in
@@ -661,7 +679,7 @@ let propagate t =
             let l = a.(l0 + !k) in
             a.(l0 + 1) <- l;
             a.(l0 + !k) <- np;
-            pairs_push t.watches.(l lxor 1) first c
+            push_pair t.wdata t.wsize (l lxor 1) first c
           end
           else begin
             Array.unsafe_set wd !j first;
@@ -685,14 +703,14 @@ let propagate t =
         end
       end
     done;
-    ws.psize <- !j;
+    t.wsize.(p) <- !j;
     (* PB constraints containing [np] lost slack when [p] was enqueued;
        check them now *)
     if !confl = none then begin
-      let pw = t.pb_watches.(np) in
+      let pd = t.pb_wdata.(np) and pn = t.pb_wsize.(np) in
       let k = ref 0 in
-      while !confl = none && !k < pw.psize do
-        confl := pb_check t pw.pdata.(!k);
+      while !confl = none && !k < pn do
+        confl := pb_check t pd.(!k);
         k := !k + 2
       done
     end
@@ -704,27 +722,66 @@ let propagate t =
 
 let attach_clause t c =
   let l0 = c_lit t c 0 and l1 = c_lit t c 1 in
-  pairs_push t.watches.(l0 lxor 1) l1 c;
-  pairs_push t.watches.(l1 lxor 1) l0 c
+  push_pair t.wdata t.wsize (l0 lxor 1) l1 c;
+  push_pair t.wdata t.wsize (l1 lxor 1) l0 c
 
-(* Remove the first watch of [c] from [ws] by moving the list's last
-   pair into its place. *)
-let unwatch ws c =
-  let d = ws.pdata in
+(* Remove the first watch of [c] from the list of [l] by moving the
+   list's last pair into its place. *)
+let unwatch t l c =
+  let d = t.wdata.(l) and n = t.wsize.(l) in
   let rec find k =
-    if k < ws.psize then
+    if k < n then
       if d.(k + 1) = c then begin
-        ws.psize <- ws.psize - 2;
-        d.(k) <- d.(ws.psize);
-        d.(k + 1) <- d.(ws.psize + 1)
+        t.wsize.(l) <- n - 2;
+        d.(k) <- d.(n - 2);
+        d.(k + 1) <- d.(n - 1)
       end
       else find (k + 2)
   in
   find 0
 
 let detach_clause t c =
-  unwatch t.watches.(c_lit t c 0 lxor 1) c;
-  unwatch t.watches.(c_lit t c 1 lxor 1) c
+  unwatch t (c_lit t c 0 lxor 1) c;
+  unwatch t (c_lit t c 1 lxor 1) c
+
+(* The passes of [add_clause_core] over its input list are top-level
+   recursions rather than [List.iter] closures over [ref] cells: the
+   encoder adds hundreds of thousands of clauses, and those closures
+   were 40% of the minor allocation on perfbench's paper-lazy workload. *)
+let rec check_vars t = function
+  | [] -> ()
+  | l :: rest ->
+    assert (l lsr 1 < t.nvars);
+    check_vars t rest
+
+(* Insertion-sort the distinct literals of a clause into [t.add_buf],
+   whose first [n] words hold those sorted so far, ascending like
+   [List.sort_uniq]: the first two become the watches.  Returns the
+   count, or -1 when the clause is redundant: a literal is true at
+   level 0, or is the complement of one already inserted (which sorts
+   next to it). *)
+let rec sort_into_buf t n = function
+  | [] -> n
+  | l :: rest ->
+    if value_lit t l = 1 then -1
+    else begin
+      if n = Array.length t.add_buf then begin
+        let b = Array.make (2 * n) 0 in
+        Array.blit t.add_buf 0 b 0 n;
+        t.add_buf <- b
+      end;
+      let b = t.add_buf in
+      let i = ref n in
+      while !i > 0 && b.(!i - 1) > l do decr i done;
+      let i = !i in
+      if i > 0 && b.(i - 1) = l then sort_into_buf t n rest
+      else if (i > 0 && b.(i - 1) = l lxor 1) || (i < n && b.(i) = l lxor 1) then -1
+      else begin
+        Array.blit b i b (i + 1) (n - i);
+        b.(i) <- l;
+        sort_into_buf t (n + 1) rest
+      end
+    end
 
 (* Add a problem clause.  Only legal at decision level 0.  Performs
    level-0 simplification: drops false literals, ignores satisfied and
@@ -752,43 +809,46 @@ let rec reintroduce_var t v =
       stash
   end
 
+and reintroduce_lits t = function
+  | [] -> ()
+  | l :: rest ->
+    reintroduce_var t (l lsr 1);
+    reintroduce_lits t rest
+
 and add_clause_core t lits =
   assert (decision_level t = 0);
   if not t.ok then None
   else begin
-    List.iter
-      (fun l ->
-        assert (l lsr 1 < t.nvars);
-        reintroduce_var t (l lsr 1))
-      lits;
-    let lits = List.sort_uniq Int.compare lits in
-    let taut =
-      let rec go = function
-        | a :: (b :: _ as rest) -> (a lxor 1 = b && a lsr 1 = b lsr 1) || go rest
-        | _ -> false
-      in
-      go lits
-    in
-    let satisfied = List.exists (fun l -> value_lit t l = 1) lits in
-    if taut || satisfied then None
+    check_vars t lits;
+    reintroduce_lits t lits;
+    let n = sort_into_buf t 0 lits in
+    if n < 0 then None
     else begin
-      let lits = List.filter (fun l -> value_lit t l <> -1) lits in
-      t.lit_count <- t.lit_count + List.length lits;
-      match lits with
-      | [] ->
+      (* drop the literals false at level 0, in place *)
+      let b = t.add_buf in
+      let m = ref 0 in
+      for k = 0 to n - 1 do
+        if value_lit t b.(k) <> -1 then begin
+          b.(!m) <- b.(k);
+          incr m
+        end
+      done;
+      t.lit_count <- t.lit_count + !m;
+      match !m with
+      | 0 ->
         t.ok <- false;
         log_step t (Step_rup [||]);
         None
-      | [ l ] ->
-        enqueue t l none;
+      | 1 ->
+        enqueue t b.(0) none;
         let r = propagate t in
         if r <> none then begin
           t.ok <- false;
           log_refutation t r
         end;
         None
-      | _ ->
-        let c = alloc_clause t (Array.of_list lits) ~learnt:false ~lbd:0 in
+      | m ->
+        let c = alloc_clause t (Array.sub b 0 m) ~learnt:false ~lbd:0 in
         Veci.push t.clauses c;
         attach_clause t c;
         Some c
@@ -803,26 +863,26 @@ let add_clause t lits = ignore (add_clause_core t lits)
 let add_pb_geq t pairs degree =
   assert (decision_level t = 0);
   if t.ok then begin
+    List.iter
+      (fun (a, l) ->
+        assert (a > 0);
+        assert (l lsr 1 < t.nvars))
+      pairs;
     List.iter (fun (_, l) -> reintroduce_var t (l lsr 1)) pairs;
-    (* drop level-0 falsified literals; account satisfied ones into degree *)
-    let degree = ref degree in
-    let pairs =
-      List.filter
-        (fun (a, l) ->
-          assert (a > 0);
-          assert (l lsr 1 < t.nvars);
-          match value_lit t l with
-          | 1 ->
-            degree := !degree - a;
-            false
-          | -1 -> false
-          | _ -> true)
-        pairs
-    in
+    (* level-0 true literals count into the degree, false ones drop *)
+    let degree = ref degree and n = ref 0 and total = ref 0 in
+    List.iter
+      (fun (a, l) ->
+        match value_lit t l with
+        | 1 -> degree := !degree - a
+        | -1 -> ()
+        | _ ->
+          incr n;
+          total := !total + a)
+      pairs;
     let degree = !degree in
     if degree > 0 then begin
-      let total = List.fold_left (fun s (a, _) -> s + a) 0 pairs in
-      if total < degree then begin
+      if !total < degree then begin
         t.ok <- false;
         (* the constraint is unsatisfiable on its own once level-0
            units are accounted for: the empty clause is PB-implied *)
@@ -830,10 +890,20 @@ let add_pb_geq t pairs degree =
       end
       else begin
         (* saturation: no coefficient needs to exceed the degree *)
-        let pairs = List.map (fun (a, l) -> (min a degree, l)) pairs in
-        t.lit_count <- t.lit_count + List.length pairs;
-        let coeffs = Array.of_list (List.map fst pairs)
-        and plits = Array.of_list (List.map snd pairs) in
+        let coeffs = Array.make !n 0 and plits = Array.make !n 0 in
+        let k = ref 0 and sum = ref 0 and mx = ref 0 in
+        List.iter
+          (fun (a, l) ->
+            if value_lit t l = 0 then begin
+              let a = min a degree in
+              coeffs.(!k) <- a;
+              plits.(!k) <- l;
+              incr k;
+              sum := !sum + a;
+              mx := max !mx a
+            end)
+          pairs;
+        t.lit_count <- t.lit_count + !n;
         let i = Vec.size t.pbs in
         Vec.push t.pbs { coeffs; plits; degree };
         if i = Array.length t.pb_slack then begin
@@ -841,9 +911,9 @@ let add_pb_geq t pairs degree =
           t.pb_slack <- grow t.pb_slack;
           t.pb_max <- grow t.pb_max
         end;
-        t.pb_slack.(i) <- Array.fold_left ( + ) 0 coeffs - degree;
-        t.pb_max.(i) <- Array.fold_left max 0 coeffs;
-        Array.iteri (fun k l -> pairs_push t.pb_watches.(l) i coeffs.(k)) plits;
+        t.pb_slack.(i) <- !sum - degree;
+        t.pb_max.(i) <- !mx;
+        Array.iteri (fun k l -> push_pair t.pb_wdata t.pb_wsize l i coeffs.(k)) plits;
         let r = pb_check t i in
         let r = if r = none then propagate t else r in
         if r <> none then begin
@@ -1085,15 +1155,14 @@ let compact t =
   in
   move t.clauses;
   move t.learnts;
-  Array.iter
-    (fun ws ->
-      let d = ws.pdata in
-      let k = ref 1 in
-      while !k < ws.psize do
-        d.(!k) <- old.(d.(!k) + 1);
-        k := !k + 2
-      done)
-    t.watches;
+  for l = 0 to (2 * t.nvars) - 1 do
+    let d = t.wdata.(l) in
+    let k = ref 1 in
+    while !k < t.wsize.(l) do
+      d.(!k) <- old.(d.(!k) + 1);
+      k := !k + 2
+    done
+  done;
   (* reasons name live clauses (a reason is locked against deletion);
      reasons left over from before a clause was retired are dropped *)
   Veci.iter
@@ -1594,8 +1663,8 @@ let bve_pass ?(max_elims = 200) ?(occ_limit = 10) ?(len_limit = 16) t =
         (not t.frozen.(var))
         && (not t.eliminated.(var))
         && t.assigns.(var) = 0
-        && t.pb_watches.(2 * var).psize = 0
-        && t.pb_watches.((2 * var) + 1).psize = 0
+        && t.pb_wsize.(2 * var) = 0
+        && t.pb_wsize.((2 * var) + 1) = 0
       then begin
         let pos = List.filter live occ_pos.(var)
         and neg = List.filter live occ_neg.(var) in

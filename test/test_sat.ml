@@ -404,6 +404,102 @@ let prop_pb_matches_brute_force =
       let got = Solver.solve s = Solver.Sat in
       got = expected)
 
+(* -- clause insertion ---------------------------------------------------- *)
+
+(* Reference model of [add_clause]: the historical list pipeline
+   (sort_uniq, tautology, satisfied, drop false) over an explicit
+   level-0 assignment, closed under naive unit propagation over the
+   stored clauses. *)
+type ref_db = {
+  vals : int array; (* by variable: 0 unassigned, 1 true, -1 false *)
+  mutable stored : int list list; (* newest first *)
+  mutable ref_ok : bool;
+  mutable ref_lits : int;
+}
+
+let ref_value db l =
+  let a = db.vals.(l lsr 1) in
+  if l land 1 = 0 then a else -a
+
+let ref_assign db l = db.vals.(l lsr 1) <- (if l land 1 = 0 then 1 else -1)
+
+(* Unit propagation to fixpoint; false on a conflict. *)
+let rec ref_propagate db =
+  let changed = ref false and conflict = ref false in
+  List.iter
+    (fun c ->
+      if (not !conflict) && not (List.exists (fun l -> ref_value db l = 1) c) then
+        match List.filter (fun l -> ref_value db l = 0) c with
+        | [] -> conflict := true
+        | [ l ] ->
+          ref_assign db l;
+          changed := true
+        | _ -> ())
+    db.stored;
+  (not !conflict) && ((not !changed) || ref_propagate db)
+
+let ref_add db lits =
+  if db.ref_ok then begin
+    let lits = List.sort_uniq Int.compare lits in
+    let rec taut = function
+      | a :: (b :: _ as rest) -> (a lxor 1 = b && a lsr 1 = b lsr 1) || taut rest
+      | _ -> false
+    in
+    if not (taut lits || List.exists (fun l -> ref_value db l = 1) lits) then begin
+      let lits = List.filter (fun l -> ref_value db l <> -1) lits in
+      db.ref_lits <- db.ref_lits + List.length lits;
+      match lits with
+      | [] -> db.ref_ok <- false
+      | [ l ] ->
+        ref_assign db l;
+        if not (ref_propagate db) then db.ref_ok <- false
+      | _ -> db.stored <- lits :: db.stored
+    end
+  end
+
+(* Random clause streams over a few variables, so duplicates,
+   complementary pairs and units (which fix literals at level 0) are
+   all common. *)
+let insertion_gen =
+  QCheck.Gen.(
+    let* nv = int_range 1 8 in
+    let clause =
+      let* n = frequency [ (1, return 0); (5, return 1); (20, int_range 2 7) ] in
+      list_size (return n) (int_bound ((2 * nv) - 1))
+    in
+    let* clauses = list_size (int_range 1 40) clause in
+    return (nv, clauses))
+
+let prop_insertion_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"add_clause matches the list pipeline"
+    QCheck.(make ~print:Print.(pair int (list (list int))) insertion_gen)
+    (fun (nv, clauses) ->
+      let s = Solver.create () in
+      ignore (Solver.new_vars s nv);
+      let db = { vals = Array.make nv 0; stored = []; ref_ok = true; ref_lits = 0 } in
+      let sorted_fold () =
+        Solver.fold_clauses (fun acc c -> List.sort Int.compare c :: acc) [] s
+      in
+      List.for_all
+        (fun c ->
+          let before = List.length db.stored in
+          Solver.add_clause s c;
+          ref_add db c;
+          let units = List.sort Int.compare (Solver.level0_units s) in
+          let ref_units =
+            List.filter (fun l -> ref_value db l = 1) (List.init (2 * nv) Fun.id)
+          in
+          Solver.ok s = db.ref_ok
+          && Solver.n_literals s = db.ref_lits
+          (* a clause just stored keeps the insertion order exactly (no
+             propagation has run over it yet); older clauses may have had
+             their watches swapped by later unit propagation *)
+          && (List.length db.stored = before
+             || Solver.fold_clauses (fun _ c -> Some c) None s = Some (List.hd db.stored))
+          && sorted_fold () = List.map (List.sort Int.compare) db.stored
+          && ((not db.ref_ok) || units = ref_units))
+        clauses)
+
 (* -- incremental use, budgets, containers ------------------------------- *)
 
 let test_incremental_narrowing () =
@@ -738,6 +834,28 @@ let test_bve_reintroduce_on_assume () =
     (Solver.solve ~assumptions:[ lit x; nlit b ] s);
   Alcotest.(check bool) "x frozen after naming" true (Solver.is_frozen s x)
 
+let test_out_of_range_literal () =
+  (* x is eliminated; naming it together with an out-of-range variable
+     must fail the precondition before reintroducing x *)
+  let s = Solver.create () in
+  let x = Solver.new_var s and a = Solver.new_var s and b = Solver.new_var s in
+  Solver.add_clause s [ lit x; lit a ];
+  Solver.add_clause s [ nlit x; lit b ];
+  Alcotest.(check bool) "x eliminated" true (Solver.bve_pass s >= 1 && Solver.is_eliminated s x);
+  let lits = Solver.n_literals s and clauses = Solver.n_clauses s in
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted variable 40" name
+    | exception Assert_failure _ ->
+      Alcotest.(check bool) (name ^ ": x still eliminated") true (Solver.is_eliminated s x);
+      Alcotest.(check int) (name ^ ": no literals added") lits (Solver.n_literals s);
+      Alcotest.(check int) (name ^ ": no clauses added") clauses (Solver.n_clauses s);
+      Alcotest.(check int) (name ^ ": no PB added") 0 (Solver.n_pbs s)
+  in
+  rejects "add_clause" (fun () -> Solver.add_clause s [ lit x; lit 40 ]);
+  rejects "add_pb_geq" (fun () -> Solver.add_pb_geq s [ (1, lit x); (1, lit 40) ] 1);
+  Alcotest.check check_result "still usable" Solver.Sat (Solver.solve s)
+
 let test_inprocess_install_unsat () =
   let s = pigeonhole_solver 7 in
   Inprocess.install ~every:16 s;
@@ -979,6 +1097,72 @@ let prop_lifecycle =
              (trace ())
       | Solver.Unknown -> false)
 
+(* --- growth and lazy watch allocation ---
+
+   A solver that has searched, reduced its learnt database and holds
+   watches grows past 100k variables, most of which never get a watch;
+   constraints over variables created after several array doublings
+   must then behave exactly as in a fresh solver. *)
+let test_growth_lazy_allocation () =
+  let s = Solver.create () in
+  let g, _, _, _ = guarded_php s in
+  Alcotest.check check_result "guarded php under its guard" Solver.Unsat
+    (Solver.solve ~assumptions:[ lit g ] s);
+  Alcotest.check check_result "guarded php with its guard free" Solver.Sat (Solver.solve s);
+  Alcotest.(check bool) "learnt database reduced" true (Solver.n_reduce_dbs s > 0);
+  let fresh = Solver.create () in
+  ignore (guarded_php fresh);
+  let base = Solver.n_vars s in
+  List.iter (fun t -> ignore (Solver.new_vars t 100_000)) [ s; fresh ];
+  (* 120 variables spread over the last 60k, well past the doublings *)
+  let var i = base + 40_000 + (i * 500) in
+  let map l = Lit.of_var ~sign:(l > 0) (var (Stdlib.abs l - 1)) in
+  let clauses =
+    List.map (List.map map) (random_3sat ~seed:3 ~n:120).Dimacs.clauses
+    |> List.filteri (fun i _ -> i mod 5 <> 0)
+  and pbs =
+    List.map
+      (fun { Proof.terms; degree } -> (List.map (fun (a, l) -> (a, map l)) terms, degree))
+      (random_pb ~seed:4 ~n:120 ~m:12)
+  in
+  List.iter
+    (fun t ->
+      List.iter (Solver.add_clause t) clauses;
+      List.iter (fun (terms, degree) -> Solver.add_pb_geq t terms degree) pbs)
+    [ s; fresh ];
+  let model_ok t =
+    let value l = Solver.model_value t l in
+    Solver.fold_clauses (fun ok c -> ok && List.exists value c) true t
+    && Solver.fold_pbs
+         (fun ok (terms, degree) ->
+           ok
+           && List.fold_left (fun acc (a, l) -> if value l then acc + a else acc) 0 terms
+              >= degree)
+         true t
+  in
+  let answers =
+    List.init 12 (fun k ->
+        (* six literals over variables k+1..k+6, signs from the bits of
+           k; the first call also re-asserts the pigeonhole's guard *)
+        let assumptions =
+          List.init 6 (fun i ->
+              let v = i + k + 1 in
+              map (if (k lsr (i mod 4)) land 1 = 0 then v else -v))
+        in
+        let assumptions = if k = 0 then lit g :: assumptions else assumptions in
+        let r = Solver.solve ~assumptions s in
+        Alcotest.check check_result (Printf.sprintf "assumptions %d: fresh agrees" k)
+          (Solver.solve ~assumptions fresh) r;
+        if r = Solver.Sat then begin
+          Alcotest.(check bool) (Printf.sprintf "assumptions %d: model" k) true (model_ok s);
+          Alcotest.(check bool) (Printf.sprintf "assumptions %d: fresh model" k) true
+            (model_ok fresh)
+        end;
+        r)
+  in
+  Alcotest.(check bool) "both answers occur" true
+    (List.mem Solver.Sat answers && List.mem Solver.Unsat answers)
+
 let test_attribution_counters () =
   (* clause-only PHP: every propagation and conflict is the clause
      engine's; the two conflict counters always sum to n_conflicts *)
@@ -1061,6 +1245,7 @@ let suite =
     Alcotest.test_case "bve respects freeze" `Quick test_bve_respects_freeze;
     Alcotest.test_case "bve reintroduce on assume" `Quick
       test_bve_reintroduce_on_assume;
+    Alcotest.test_case "out-of-range literal" `Quick test_out_of_range_literal;
     Alcotest.test_case "inprocess install unsat" `Quick test_inprocess_install_unsat;
     Alcotest.test_case "inprocess install sat" `Quick test_inprocess_install_sat;
     Alcotest.test_case "inprocess run_passes" `Quick test_inprocess_run_passes;
@@ -1069,8 +1254,11 @@ let suite =
     Alcotest.test_case "golden trajectories" `Quick test_golden_trajectories;
     Alcotest.test_case "golden allocator lazy" `Quick test_golden_allocator_lazy;
     Alcotest.test_case "attribution counters" `Quick test_attribution_counters;
+    Alcotest.test_case "growth and lazy watch allocation" `Quick
+      test_growth_lazy_allocation;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_pb_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_unsat_core_valid;
+    QCheck_alcotest.to_alcotest prop_insertion_matches_reference;
     QCheck_alcotest.to_alcotest ~long:true prop_lifecycle;
   ]
