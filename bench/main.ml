@@ -1008,8 +1008,8 @@ let repair_bench ~quick () =
   let rows = ref [] in
   let warm_total = ref 0. and fresh_total = ref 0. in
   for trial = 1 to trials do
-    (* session construction (the steady-state cost, paid long before
-       the disruption) stays outside the timer on the warm path; the
+    (* [Repair.create] encodes nothing: the warm path builds its
+       grouped session on this first repair, inside the timer, and the
        cold path pays encode + solve inside it, as a restart would *)
     let st = Repair.create problem alloc in
     let outcome, warm_s =

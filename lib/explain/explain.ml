@@ -530,10 +530,37 @@ module Whatif = struct
         in
         Infeasible { groups; deltas = core_deltas })
 
-  let query ?budget t deltas =
+  (* The allocation in force answers a query when the independent
+     checker accepts it and it meets every delta.  It is then a model
+     of the query's assumptions, so the answer is [Feasible] without a
+     solve; otherwise only the solver can tell. *)
+  let answers t current deltas =
+    Check.check t.problem current = []
+    &&
+    let responses =
+      lazy (Analysis.all_task_response_times t.problem current)
+    in
+    List.for_all
+      (function
+        | Pin { task; ecu } -> current.Model.task_ecu.(task) = ecu
+        | Forbid { task; ecu } -> current.Model.task_ecu.(task) <> ecu
+        | Set_deadline { task; deadline } -> (
+          match (Lazy.force responses).(task) with
+          | Some r -> r + t.problem.Model.tasks.(task).Model.jitter <= deadline
+          | None -> false)
+        | Drop _ -> true)
+      deltas
+
+  let query ?budget ?current t deltas =
     Obs.span "whatif.query"
       ~attrs:[ ("deltas", string_of_int (List.length deltas)) ]
-      (fun () -> query_run ?budget t deltas)
+      (fun () ->
+        match current with
+        | Some a when answers t a deltas ->
+          t.queries <- t.queries + 1;
+          if Obs.metrics_on () then Obs.Metrics.incr "whatif.witness";
+          Feasible { allocation = a; relaxed = disabled_kinds t deltas <> [] }
+        | _ -> query_run ?budget t deltas)
 
   (* -- CLI query language ------------------------------------------- *)
 

@@ -144,11 +144,25 @@ module Whatif : sig
   val create : ?options:Encode.options -> Model.problem -> t
   (** Build the session: one grouped encoding, one solver. *)
 
-  val query : ?budget:Budget.t -> t -> delta list -> verdict
-  (** Re-solve under the deltas.  Queries are independent: deltas do
-      not accumulate, and the session is reusable after any verdict.  A
-      [Set_deadline] beyond the declared deadline automatically drops
-      the task's original deadline group. *)
+  val query :
+    ?budget:Budget.t ->
+    ?current:Model.allocation ->
+    t ->
+    delta list ->
+    verdict
+  (** Answer the query under the deltas.  Queries are independent:
+      deltas do not accumulate, and the session is reusable after any
+      verdict.  A [Set_deadline] beyond the declared deadline
+      automatically drops the task's original deadline group.
+
+      [current], a complete allocation of the session's problem (the
+      allocation in force), is tried first: when {!Taskalloc_rt.Check}
+      accepts it and it meets every delta — the pinned seats, away from
+      the forbidden ones, an exact response time plus jitter within
+      each new deadline — the verdict is [Feasible] with [current]
+      itself, counted in {!queries} but not in {!solves}, and returned
+      even when [budget] is spent.  Otherwise the session re-solves
+      under the deltas as assumptions. *)
 
   val solves : t -> int
   val queries : t -> int

@@ -1,8 +1,16 @@
 (* Online reallocation under disruption (ROADMAP item 4).
 
    The repair engine keeps one grouped-encoding session alive across
-   disruptions (the machinery of [Explain.Session]) and treats every
-   repair as an assumption-only optimization on it:
+   disruptions (the machinery of [Explain.Session]), built on first
+   need, and treats every repair as an assumption-only optimization on
+   it:
+
+   - first of all, the allocation in force is validated against the
+     disrupted problem ([Check], then [Sim]); when it passes, nobody
+     moves and no solver runs.  The live session survives such an
+     answer only for an ECU failure (its forbids join the standing
+     assumptions); any other event changed the encoded arithmetic, so
+     the session is dropped and rebuilt when next needed;
 
    - the *migration objective* is a sum of indicator bits, one per
      task whose pre-disruption seat is still admissible: the bit is 1
@@ -29,7 +37,9 @@
      that forced that migration.
 
    State commits are all-or-nothing: [Unknown] (budget tripped) and
-   [Irreparable] leave problem, allocation and session untouched. *)
+   [Irreparable] leave problem, allocation and standing assumptions
+   untouched (a session first built on the way, for the pre-event
+   problem, is kept). *)
 
 open Taskalloc_sat
 open Taskalloc_pb
@@ -350,7 +360,9 @@ let outcome_to_json = function
 type t = {
   mutable cur : Model.problem;
   mutable alloc : Model.allocation;
-  mutable sess : Session.t;
+  mutable sess : Session.t option;
+      (* grouped session, built on first need; when present it encodes
+         a problem that [sess_extra] turns into [cur] *)
   mutable sess_extra : Lit.t list;
       (* standing assumptions translating events applied since [sess]
          was last built (only ECU failures accumulate here) *)
@@ -361,14 +373,29 @@ type t = {
 let create ?options problem allocation =
   if Array.length allocation.Model.task_ecu <> Array.length problem.Model.tasks
   then Model.invalid "repair: allocation does not match the problem";
-  {
-    cur = problem;
-    alloc = allocation;
-    sess = Session.create ?options problem;
-    sess_extra = [];
-    sheds = [];
-    options;
-  }
+  { cur = problem; alloc = allocation; sess = None; sess_extra = []; sheds = []; options }
+
+(* the live session and its standing assumptions, encoding [cur] on
+   first use *)
+let live_session t =
+  match t.sess with
+  | Some s -> (s, t.sess_extra)
+  | None ->
+    let s =
+      Obs.span "repair.encode" (fun () -> Session.create ?options:t.options t.cur)
+    in
+    t.sess <- Some s;
+    t.sess_extra <- [];
+    (s, [])
+
+(* standing assumptions that bar [ecu] to the first [n_tasks] tasks *)
+let ecu_forbids sess ~n_tasks ecu =
+  let enc = Session.encoding sess in
+  List.init n_tasks Fun.id
+  |> List.filter_map (fun i ->
+         match Encode.task_selector enc ~task:i ~ecu with
+         | Circuits.Lit l -> Some (Lit.neg l)
+         | Circuits.Zero | Circuits.One -> None)
 
 let problem t = t.cur
 let allocation t = t.alloc
@@ -489,10 +516,27 @@ let migrations_of ?budget ~solves ~explain sess p ~extra ~old_raw alloc =
 
 (* -- repair ------------------------------------------------------------- *)
 
+(* analyzer violations and simulated misses; an allocation the
+   analyzer rejects is not simulated ([-1]): [Sim] needs a WCET on
+   every seat *)
 let validate_repair p alloc =
-  let violations = List.length (Check.check p alloc) in
-  let trace = Sim.simulate p alloc in
-  (violations, List.length trace.Sim.deadline_misses)
+  match Check.check p alloc with
+  | [] -> (0, List.length (Sim.simulate p alloc).Sim.deadline_misses)
+  | vs -> (List.length vs, -1)
+
+(* The allocation in force still answers the event when the event kept
+   every task and message id (no doomed task, no arrival) and the
+   disrupted problem validates it: no migration can do better. *)
+let answers_event t d =
+  let msg_ids (tk : Model.task) =
+    List.map (fun (m : Model.message) -> m.Model.msg_id) tk.Model.messages
+  in
+  d.d_doomed = []
+  && Array.length d.d_problem.Model.tasks = Array.length t.cur.Model.tasks
+  && Array.for_all2
+       (fun a b -> msg_ids a = msg_ids b)
+       t.cur.Model.tasks d.d_problem.Model.tasks
+  && validate_repair d.d_problem t.alloc = (0, 0)
 
 let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
     event =
@@ -500,7 +544,8 @@ let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
       let t0 = Unix.gettimeofday () in
       let solves = ref 0 in
       if Obs.metrics_on () then Obs.Metrics.incr "repair.events";
-      let { d_problem; d_kept; d_doomed } = apply_event t.cur event in
+      let d = apply_event t.cur event in
+      let { d_problem; d_kept; d_doomed } = d in
       let _, raw' = disrupt t.cur event in
       (* highest criticality present in the post-event system defines
          the un-sheddable (HI) level *)
@@ -518,9 +563,12 @@ let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
       let budget_tripped () =
         match budget with None -> false | Some b -> Budget.exhausted b
       in
-      let finish ~warm ~sess ~sess_extra ~optimal ~migrations ~sheds p alloc =
+      let finish ?validated ~warm ~sess ~sess_extra ~optimal ~migrations ~sheds
+          p alloc =
         let check_violations, sim_misses =
-          if validate then validate_repair p alloc else (0, -1)
+          match validated with
+          | Some v -> v
+          | None -> if validate then validate_repair p alloc else (0, -1)
         in
         t.cur <- p;
         t.alloc <- alloc;
@@ -563,6 +611,10 @@ let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
           (fun i -> (not allow_shed) || not (sheddable raw'.(i)))
           d_doomed
       in
+      (* warm: a pure ECU failure, expressible on the live session *)
+      let warm =
+        match event with Ecu_failure _ -> d_doomed = [] | _ -> false
+      in
       match blocked with
       | Some i ->
         Irreparable
@@ -574,27 +626,32 @@ let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
                 (raw_name i)
                 (if allow_shed then " (highest criticality)" else "");
           }
-      | None -> (
-        (* session: warm on a pure ECU failure, rebuilt otherwise *)
-        let warm =
-          match event with Ecu_failure _ -> d_doomed = [] | _ -> false
-        in
+      | None when answers_event t d ->
+        (* nobody has to move: keep the allocation in force, and the
+           live session only while assumptions still express the
+           disrupted problem (an ECU failure); any other event changed
+           the arithmetic that session encodes *)
+        if Obs.metrics_on () then Obs.Metrics.incr "repair.witness";
         let sess, sess_extra =
-          if warm then begin
-            let failed =
-              match event with Ecu_failure { ecu } -> ecu | _ -> assert false
-            in
-            let enc = Session.encoding t.sess in
-            let forbids =
-              List.init (Array.length d_problem.Model.tasks) Fun.id
-              |> List.filter_map (fun i ->
-                     match Encode.task_selector enc ~task:i ~ecu:failed with
-                     | Circuits.Lit l -> Some (Lit.neg l)
-                     | Circuits.Zero | Circuits.One -> None)
-            in
-            (t.sess, t.sess_extra @ forbids)
-          end
-          else
+          match (event, t.sess) with
+          | Ecu_failure { ecu }, Some s ->
+            ( Some s,
+              t.sess_extra
+              @ ecu_forbids s ~n_tasks:(Array.length d_problem.Model.tasks) ecu )
+          | _ -> (None, [])
+        in
+        finish ~validated:(0, 0) ~warm ~sess ~sess_extra ~optimal:true
+          ~migrations:[] ~sheds:[] d_problem t.alloc
+      | None -> (
+        (* session: the live one on a warm event, rebuilt otherwise *)
+        let sess, sess_extra =
+          match event with
+          | Ecu_failure { ecu } when warm ->
+            let s, extra = live_session t in
+            ( s,
+              extra
+              @ ecu_forbids s ~n_tasks:(Array.length d_problem.Model.tasks) ecu )
+          | _ ->
             ( Obs.span "repair.encode" (fun () ->
                   Session.create ?options:t.options d_problem),
               [] )
@@ -622,7 +679,7 @@ let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
               ~old_raw:(fun i -> old_seat_raw d_kept.(i))
               alloc
           in
-          finish ~warm ~sess ~sess_extra ~optimal ~migrations
+          finish ~warm ~sess:(Some sess) ~sess_extra ~optimal ~migrations
             ~sheds:doomed_sheds d_problem alloc
         | `Infeasible -> (
           (* full repair impossible: walk the degradation ladder *)
@@ -710,7 +767,7 @@ let repair ?budget ?(allow_shed = true) ?(explain = false) ?(validate = true) t
                         ~old_raw:(fun j -> old_seat_raw d_kept.(kept_r.(j)))
                         alloc
                     in
-                    finish ~warm:false ~sess:rs ~sess_extra:[] ~optimal
+                    finish ~warm:false ~sess:(Some rs) ~sess_extra:[] ~optimal
                       ~migrations ~sheds:(doomed_sheds @ sheds) reduced alloc
                   | `Infeasible ->
                     let core' = last_core ?budget ~shrink:explain rs ~extra:[] in

@@ -8,6 +8,10 @@
     bus degradation), {!repair} computes a replacement allocation that
     {e minimizes the number of migrated tasks} subject to all deadlines:
 
+    - the allocation in force is tried first: when the event dooms no
+      task, keeps the task numbering, and the disrupted problem still
+      passes {!Taskalloc_rt.Check} and then {!Taskalloc_rt.Sim} with
+      it, nobody moves and no solver runs;
     - ECU failures that doom no task are {e assumption-expressible}: the
       live session is reused warm (no re-encoding) by assuming the
       negated placement selector of every task on the failed ECU, and
@@ -122,13 +126,16 @@ type repair = {
   optimal : bool;
       (** migration count proven minimal (budget did not interrupt the
           descent) *)
-  solves : int;  (** solver calls spent on this repair *)
+  solves : int;
+      (** solver calls spent on this repair; 0 when the allocation in
+          force answered the event *)
   check_violations : int;
       (** independent analyzer violations — non-zero only on an
           encoder/analyzer disagreement, surfaced loudly *)
   sim_misses : int;
       (** deadline misses observed by {!Taskalloc_rt.Sim} over its
-          default horizon; [-1] when [~validate:false] *)
+          default horizon; [-1] when not simulated: [~validate:false],
+          or the analyzer rejected the allocation *)
   time_s : float;
 }
 
@@ -148,8 +155,10 @@ type t
 
 val create :
   ?options:Encode.options -> Model.problem -> Model.allocation -> t
-(** Start tracking a running system.  Builds the grouped session
-    eagerly so the first disruption can be repaired warm. *)
+(** Start tracking a running system.  Nothing is encoded yet: the
+    grouped session is built when a repair first needs the solver
+    (the warm ECU-failure path builds it against the pre-event
+    problem), and events the allocation in force answers need none. *)
 
 val problem : t -> Model.problem
 (** The current (post-disruption, post-shed) problem. *)
@@ -181,5 +190,8 @@ val repair :
     [Irreparable].  [explain] (default false) attributes migrations
     and sheds to forcing constraint groups via MUS extraction (extra
     probes, budget-aware).  [validate] (default true) re-checks and
-    simulates every accepted repair.  Raises {!Invalid_event} on
-    malformed events; never raises on budget expiry. *)
+    simulates every accepted repair.  An answer from the allocation in
+    force is always validated (that is how it is recognized) and is
+    returned even when [budget] is spent: it costs no solver work.
+    Raises {!Invalid_event} on malformed events; never raises on
+    budget expiry. *)

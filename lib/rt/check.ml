@@ -161,13 +161,23 @@ let check_messages problem alloc =
            [ Message_deadline_miss
                { msg = msg.msg_id; latency = None; deadline = msg.msg_deadline } ])
 
-(* Full check.  Returns all violations (empty = feasible). *)
+(* Full check.  Returns all violations (empty = feasible).  A task
+   seated outside its WCET list has no WCET there for the timing
+   analyses to read, so such an allocation gets its placement
+   violations alone. *)
 let check problem alloc =
-  check_placement problem alloc
-  @ check_routes problem alloc
-  @ check_tasks problem alloc
-  @ check_slots problem alloc
-  @ check_messages problem alloc
+  let placement = check_placement problem alloc in
+  if
+    List.exists
+      (function Placement_not_allowed _ -> true | _ -> false)
+      placement
+  then placement
+  else
+    placement
+    @ check_routes problem alloc
+    @ check_tasks problem alloc
+    @ check_slots problem alloc
+    @ check_messages problem alloc
 
 let is_feasible problem alloc = check problem alloc = []
 

@@ -28,7 +28,9 @@ val check_slots : problem -> allocation -> violation list
 val check_messages : problem -> allocation -> violation list
 
 val check : problem -> allocation -> violation list
-(** All checks; empty list = feasible. *)
+(** All checks; empty list = feasible.  When a task is seated outside
+    its WCET list, only the {!check_placement} violations are returned:
+    the timing checks need a WCET on every seat. *)
 
 val is_feasible : problem -> allocation -> bool
 

@@ -27,8 +27,10 @@ val default_horizon : problem -> int
 
 val simulate : ?horizon:int -> ?offsets:int array -> problem -> allocation -> trace
 (** [offsets] shifts each task's first release (default all zero: the
-    synchronous critical instant).  Raises {!Model.Invalid_model} on a
-    length mismatch. *)
+    synchronous critical instant).  Every task must be seated on an
+    ECU of its WCET list (no [Placement_not_allowed] from
+    {!Check.check_placement}).  Raises {!Model.Invalid_model} on a
+    length mismatch or on a seat without a WCET. *)
 
 val missed : trace -> bool
 

@@ -698,7 +698,7 @@ let do_whatif t job =
       | Ok deltas ->
         let budget = budget_of job job.jreq in
         with_whatif s (fun w ->
-            let v = W.query ?budget w deltas in
+            let v = W.query ?budget ?current:s.salloc w deltas in
             (* a clean baseline answer doubles as the allocation in
                force, letting a later [repair] start warm *)
             (match (deltas, v) with

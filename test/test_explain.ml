@@ -13,6 +13,7 @@ module Explain = Taskalloc_explain.Explain
 module Solver = Taskalloc_sat.Solver
 module Budget = Taskalloc_sat.Budget
 module Bv = Taskalloc_bv.Bv
+module Workloads = Taskalloc_workloads.Workloads
 
 let arch2 =
   {
@@ -429,6 +430,162 @@ let prop_explained_cores_check =
                   assume_groups assume selector_of rest = Solver.Sat)
                 ids))
 
+(* -- what-if answers from the allocation in force ---------------------- *)
+
+module W = Explain.Whatif
+
+let test_whatif_current_answers () =
+  let problem = feasible_problem () in
+  let current =
+    match Allocator.find_feasible ~fallback:false problem with
+    | Allocator.Solved r -> r.Allocator.allocation
+    | _ -> Alcotest.fail "fixture should be feasible"
+  in
+  let seat0 = current.Model.task_ecu.(0) in
+  let w = W.create problem in
+  let expect_current label ~relaxed v =
+    match v with
+    | W.Feasible { allocation; relaxed = r } ->
+      Alcotest.(check bool) (label ^ ": the allocation in force") true
+        (allocation == current);
+      Alcotest.(check bool) (label ^ ": relaxed") relaxed r
+    | _ -> Alcotest.failf "%s: expected feasible" label
+  in
+  expect_current "baseline" ~relaxed:false (W.query ~current w []);
+  expect_current "pin on its seat" ~relaxed:false
+    (W.query ~current w [ W.Pin { task = 0; ecu = seat0 } ]);
+  expect_current "drop" ~relaxed:true
+    (W.query ~current w [ W.Drop (Encode.G_deadline 1) ]);
+  (* a spent budget does not hide a definitive answer that costs no
+     solver work *)
+  let spent = Budget.create ~check_every:1 ~should_stop:(fun () -> true) () in
+  expect_current "spent budget" ~relaxed:false
+    (W.query ~budget:spent ~current w []);
+  Alcotest.(check int) "no solver call so far" 0 (W.solves w);
+  Alcotest.(check int) "every query counted" 4 (W.queries w);
+  (* forbidding the seat in force needs the solver *)
+  (match W.query ~current w [ W.Forbid { task = 0; ecu = seat0 } ] with
+  | W.Feasible { allocation; _ } ->
+    Alcotest.(check bool) "a new allocation" false (allocation == current);
+    Alcotest.(check bool) "seat forbidden" true
+      (allocation.Model.task_ecu.(0) <> seat0)
+  | _ -> Alcotest.fail "moving one task should stay feasible");
+  Alcotest.(check bool) "the solver ran" true (W.solves w > 0)
+
+(* Differential: a session queried with the allocation in force and one
+   queried without must agree on every verdict.  Deltas are drawn
+   relative to that allocation (its seats, its response times), so many
+   hold under it and many do not. *)
+type intent =
+  | I_pin of int * bool * int  (* task, at its seat in force?, else ECU *)
+  | I_forbid of int * bool * int
+  | I_deadline of int * int  (* task, offset from response + jitter *)
+  | I_drop_deadline of int
+  | I_drop_capacity of int
+
+let gen_intent =
+  QCheck.Gen.(
+    let* task = int_range 0 63 in
+    let* at_seat = bool in
+    let* ecu = int_range 0 63 in
+    let* off = int_range (-6) 20 in
+    frequency
+      [
+        (3, return (I_pin (task, at_seat, ecu)));
+        (2, return (I_forbid (task, at_seat, ecu)));
+        (3, return (I_deadline (task, off)));
+        (1, return (I_drop_deadline task));
+        (1, return (I_drop_capacity ecu));
+      ])
+
+let differential_problem family seed =
+  match family with
+  | 0 -> ("small", Workloads.small ~seed ())
+  | 1 -> ("jittery", Workloads.small_jittery ~seed ())
+  | 2 -> ("can", Workloads.small_can ~seed ())
+  | _ ->
+    let h = [| Workloads.A; Workloads.B; Workloads.C |].(seed mod 3) in
+    ("hierarchical", Workloads.small_hierarchical ~seed h)
+
+let prop_whatif_current_agrees (family, seed, lazy_mode, queries) =
+  let _, problem = differential_problem family seed in
+  let options = { Encode.default_options with Encode.lazy_mode } in
+  match Allocator.find_feasible ~options ~fallback:false problem with
+  | Allocator.Infeasible | Allocator.Unknown -> QCheck.assume_fail ()
+  | Allocator.Solved r ->
+    let current = r.Allocator.allocation in
+    let tasks = problem.Model.tasks in
+    let n = Array.length tasks and n_ecus = problem.Model.arch.Model.n_ecus in
+    let responses = Analysis.all_task_response_times problem current in
+    let ecu task at_seat e =
+      if at_seat then current.Model.task_ecu.(task) else e mod n_ecus
+    in
+    let delta = function
+      | I_pin (t, at_seat, e) ->
+        let task = t mod n in
+        W.Pin { task; ecu = ecu task at_seat e }
+      | I_forbid (t, at_seat, e) ->
+        let task = t mod n in
+        W.Forbid { task; ecu = ecu task at_seat e }
+      | I_deadline (t, off) ->
+        let task = t mod n in
+        let r = Option.value responses.(task) ~default:tasks.(task).Model.deadline in
+        W.Set_deadline { task; deadline = r + tasks.(task).Model.jitter + off }
+      | I_drop_deadline t -> W.Drop (Encode.G_deadline (t mod n))
+      | I_drop_capacity e -> W.Drop (Encode.G_capacity (e mod n_ecus))
+    in
+    let with_current = W.create ~options problem in
+    let without = W.create ~options problem in
+    List.for_all
+      (fun intents ->
+        let deltas = List.map delta intents in
+        let show = String.concat ", " (List.map (W.describe without) deltas) in
+        let disabled =
+          List.exists
+            (function
+              | W.Drop _ -> true
+              | W.Set_deadline { task; deadline } -> deadline > tasks.(task).Model.deadline
+              | W.Pin _ | W.Forbid _ -> false)
+            deltas
+        in
+        let solves = W.solves with_current in
+        let a = W.query ~current with_current deltas in
+        let b = W.query without deltas in
+        match (a, b) with
+        | W.Feasible fa, W.Feasible fb ->
+          if fa.allocation == current && W.solves with_current <> solves then
+            QCheck.Test.fail_reportf "[%s] answered from the allocation in force but solved"
+              show;
+          if fa.relaxed <> disabled || fb.relaxed <> disabled then
+            QCheck.Test.fail_reportf "[%s] relaxed flag differs from the disabled groups"
+              show;
+          true
+        | W.Infeasible _, W.Infeasible _ -> true
+        | _ ->
+          let status = function
+            | W.Feasible _ -> "feasible"
+            | W.Infeasible _ -> "infeasible"
+            | W.Unknown -> "unknown"
+          in
+          QCheck.Test.fail_reportf "[%s] with current: %s, without: %s" show
+            (status a) (status b))
+      queries
+
+let whatif_current_differential =
+  QCheck.Test.make ~count:40
+    ~name:"whatif: allocation in force agrees with the solver"
+    (QCheck.make
+       ~print:(fun (family, seed, lazy_mode, queries) ->
+         Printf.sprintf "%s seed %d%s, %d queries"
+           (fst (differential_problem family seed))
+           seed
+           (if lazy_mode then " lazy" else "")
+           (List.length queries))
+       QCheck.Gen.(
+         quad (int_range 0 3) (int_range 1 500) bool
+           (list_repeat 6 (list_size (int_range 0 3) gen_intent))))
+    prop_whatif_current_agrees
+
 let suite =
   [
     Alcotest.test_case "feasible problem" `Quick test_explain_feasible;
@@ -449,5 +606,8 @@ let suite =
     Alcotest.test_case "explain with inprocessing" `Quick test_explain_inprocessing;
     Alcotest.test_case "whatif with inprocessing" `Quick test_whatif_inprocessing;
     Alcotest.test_case "parse deltas" `Quick test_parse_deltas;
+    Alcotest.test_case "whatif answers from the allocation in force" `Quick
+      test_whatif_current_answers;
+    QCheck_alcotest.to_alcotest whatif_current_differential;
     QCheck_alcotest.to_alcotest prop_explained_cores_check;
   ]

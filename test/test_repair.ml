@@ -524,6 +524,98 @@ let oracle_test =
        gen_oracle_case)
     prop_repair_matches_oracle
 
+(* -------------------------------------------------------------------
+   Answers from the allocation in force. *)
+
+let same_allocation label (a : Model.allocation) (b : Model.allocation) =
+  let slots al =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) al.Model.slots []
+    |> List.sort compare
+  in
+  Alcotest.(check (array int)) (label ^ ": placement") a.Model.task_ecu
+    b.Model.task_ecu;
+  Alcotest.(check bool) (label ^ ": routes") true
+    (a.Model.msg_route = b.Model.msg_route);
+  Alcotest.(check bool) (label ^ ": slots") true (slots a = slots b);
+  Alcotest.(check bool) (label ^ ": priority order") true
+    (a.Model.priority_rank = b.Model.priority_rank)
+
+let test_mild_overrun_keeps_allocation () =
+  (* a producer streams to a consumer across the bus; a 150% overrun of
+     the consumer still meets every deadline where it runs, so the
+     allocation in force answers the event: no solver call *)
+  let msg = { Model.msg_id = 0; src = 0; dst = 1; bytes = 4; msg_deadline = 40 } in
+  let tasks =
+    [
+      mk_task ~messages:[ msg ] 0 "producer" 50 [ (0, 10) ];
+      mk_task 1 "consumer" 50 [ (0, 10); (1, 10) ];
+    ]
+  in
+  let problem = Model.make_problem ~arch:(arch 2) ~tasks in
+  let before = placed problem [| 0; 1 |] in
+  let st = Repair.create problem before in
+  let r =
+    repaired (Repair.repair st (Repair.Wcet_overrun { task = 1; percent = 150 }))
+  in
+  Alcotest.(check int) "no solver call" 0 r.solves;
+  Alcotest.(check int) "nobody moves" 0 (List.length r.migrations);
+  Alcotest.(check bool) "optimal" true r.optimal;
+  Alcotest.(check bool) "warm keeps its meaning (not an ECU failure)" false
+    r.warm;
+  Alcotest.(check int) "analyzer clean" 0 r.check_violations;
+  Alcotest.(check int) "sim clean" 0 r.sim_misses;
+  same_allocation "answer" before r.allocation;
+  same_allocation "state" before (Repair.allocation st);
+  Alcotest.(check int) "wcet actually scaled" 15
+    (Model.wcet_on (Repair.problem st).Model.tasks.(1) 1);
+  Alcotest.(check (list string)) "the disrupted problem accepts it" []
+    (List.map (Fmt.str "%a" Check.pp_violation)
+       (Check.check (Repair.problem st) (Repair.allocation st)))
+
+let test_no_stale_session_after_kept_allocation () =
+  (* y (deadline 40) runs on ECU 0; x (deadline 55) may only run on
+     ECUs 0 and 1 and runs on 1.  An arrival builds a live session;
+     then y overruns to 40, which the allocation in force absorbs.
+     When ECU 1 fails, x must join ECU 0, where it now sees 40 + 20 =
+     60 > 55 unless y leaves: two migrations.  A session still
+     encoding the pre-overrun WCET would seat x beside y and move only
+     x, which the disrupted problem rejects. *)
+  let tasks =
+    [ mk_task 0 "y" 40 (everywhere 4 20); mk_task 1 "x" 55 [ (0, 20); (1, 20) ] ]
+  in
+  let problem = Model.make_problem ~arch:(arch 4) ~tasks in
+  let st = Repair.create problem (placed problem [| 0; 1 |]) in
+  let r1 =
+    repaired
+      (Repair.repair st
+         (Repair.Task_arrival
+            {
+              name = "n";
+              period = 100;
+              deadline = 95;
+              memory = 1;
+              criticality = 0;
+              wcets = [ (3, 10) ];
+            }))
+  in
+  Alcotest.(check bool) "the arrival needed the solver" true (r1.solves > 0);
+  let r2 =
+    repaired (Repair.repair st (Repair.Wcet_overrun { task = 0; percent = 200 }))
+  in
+  Alcotest.(check int) "overrun kept the allocation in force" 0 r2.solves;
+  Alcotest.(check int) "overrun moved nobody" 0 (List.length r2.migrations);
+  let failure = Repair.Ecu_failure { ecu = 1 } in
+  let oracle =
+    oracle_min_migrations (Repair.allocation st)
+      (Repair.apply_event (Repair.problem st) failure)
+  in
+  let r3 = repaired (Repair.repair st failure) in
+  Alcotest.(check bool) "ECU failure is warm" true r3.warm;
+  Alcotest.(check int) "analyzer clean" 0 r3.check_violations;
+  Alcotest.(check int) "sim clean" 0 r3.sim_misses;
+  Alcotest.(check (option int)) "migrations = oracle minimum" (Some 2) oracle;
+  Alcotest.(check int) "migrations" 2 (List.length r3.migrations)
+
 let suite =
   [
     Alcotest.test_case "ECU failure: warm minimal repair" `Quick
@@ -552,5 +644,9 @@ let suite =
       test_multi_event_consistency;
     Alcotest.test_case "scenario files parse and resolve" `Quick
       test_scenario_parsing;
+    Alcotest.test_case "mild overrun: allocation in force kept" `Quick
+      test_mild_overrun_keeps_allocation;
+    Alcotest.test_case "kept allocation drops a stale session" `Quick
+      test_no_stale_session_after_kept_allocation;
     QCheck_alcotest.to_alcotest oracle_test;
   ]

@@ -238,6 +238,27 @@ let test_check_barred () =
        (function Check.Barred_ecu_used { task = 0; ecu = 1 } -> true | _ -> false)
        (Check.check problem alloc))
 
+let test_check_seat_without_wcet () =
+  (* t1 may only run on ECU 0; seated on ECU 1 it has no WCET there,
+     so the checker must report the seat, not fail inside the timing
+     analysis *)
+  let tasks =
+    [
+      mk_task 0 ~period:50 ~wcet:5 ~deadline:40;
+      { (mk_task 1 ~period:50 ~wcet:5 ~deadline:40) with Model.wcets = [ (0, 5) ] };
+    ]
+  in
+  let problem = Model.make_problem ~arch:arch2 ~tasks in
+  let alloc = Routing.complete problem [| 0; 1 |] in
+  Alcotest.(check int) "check_placement reports the seat" 1
+    (List.length (Check.check_placement problem alloc));
+  match Check.check problem alloc with
+  | [ Check.Placement_not_allowed { task = 1; ecu = 1 } ] -> ()
+  | vs ->
+    Alcotest.failf "expected the placement violation alone, got [%a]"
+      (Fmt.list ~sep:Fmt.semi Check.pp_violation)
+      vs
+
 let test_check_slot_too_small () =
   let problem = two_ecu_problem ~separated:false in
   let alloc = Routing.complete problem [| 0; 1 |] in
@@ -804,6 +825,7 @@ let suite =
     Alcotest.test_case "check memory" `Quick test_check_memory_violation;
     Alcotest.test_case "check deadline" `Quick test_check_deadline_violation;
     Alcotest.test_case "check barred" `Quick test_check_barred;
+    Alcotest.test_case "check seat without WCET" `Quick test_check_seat_without_wcet;
     Alcotest.test_case "check slot" `Quick test_check_slot_too_small;
     Alcotest.test_case "model validation" `Quick test_model_validation;
     Alcotest.test_case "utilization" `Quick test_utilization;

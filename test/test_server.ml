@@ -359,6 +359,68 @@ let test_repair_then_whatif () =
            ]);
       Client.close c)
 
+(* after a solve, a what-if and a repair that the allocation in force
+   answers cost no solver call, and the Obs counters (mirrored to
+   Prometheus) say so *)
+let test_answers_from_allocation_in_force () =
+  Obs.clear ();
+  Obs.enable ~metrics:true ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.clear ())
+    (fun () ->
+      with_server_t (fun listen t ->
+          let c = Client.connect listen in
+          let sid, _ = open_session c in
+          check_ok "solve"
+            (req c
+               [
+                 ("kind", Json.Str "solve");
+                 ("session", Json.Str sid);
+                 ("objective", Json.Str "feasible");
+               ]);
+          let w =
+            req c
+              [
+                ("kind", Json.Str "whatif");
+                ("session", Json.Str sid);
+                ("deltas", Json.Str "");
+              ]
+          in
+          check_ok "whatif" w;
+          Alcotest.(check (option string)) "whatif feasible" (Some "feasible")
+            (Json.to_str (Json.member "status" (Json.member "verdict" w)));
+          Alcotest.(check (option int)) "no what-if solve" (Some 0)
+            (Json.to_int (Json.member "session_solves" w));
+          let r =
+            req c
+              [
+                ("kind", Json.Str "repair");
+                ("session", Json.Str sid);
+                ("event", Json.Str "wcet t00 100");
+              ]
+          in
+          check_ok "repair" r;
+          let outcome = Json.member "outcome" r in
+          Alcotest.(check (option string)) "repaired" (Some "repaired")
+            (Json.to_str (Json.member "status" outcome));
+          Alcotest.(check (option int)) "no repair solve" (Some 0)
+            (Json.to_int (Json.member "solves" outcome));
+          Alcotest.(check int) "whatif.witness" 1
+            (Obs.Metrics.get_counter "whatif.witness");
+          Alcotest.(check int) "repair.witness" 1
+            (Obs.Metrics.get_counter "repair.witness");
+          let lines = String.split_on_char '\n' (Server.prometheus_text t) in
+          List.iter
+            (fun l ->
+              Alcotest.(check bool) (l ^ " exposed") true (List.mem l lines))
+            [
+              "taskalloc_obs_whatif_witness_total 1";
+              "taskalloc_obs_repair_witness_total 1";
+            ];
+          Client.close c))
+
 (* -- concurrency --------------------------------------------------------- *)
 
 let test_concurrent_distinct_sessions () =
@@ -829,6 +891,8 @@ let suite =
     Alcotest.test_case "LRU idle-session eviction" `Quick test_lru_eviction;
     Alcotest.test_case "repair diverges session from cache" `Slow
       test_repair_then_whatif;
+    Alcotest.test_case "answers from the allocation in force" `Quick
+      test_answers_from_allocation_in_force;
     Alcotest.test_case "concurrent clients, distinct sessions" `Slow
       test_concurrent_distinct_sessions;
     Alcotest.test_case "request id echo and reuse" `Quick test_request_id_echo;
