@@ -23,6 +23,36 @@ open Taskalloc_workloads
 open Taskalloc_heuristics
 
 module Obs = Taskalloc_obs.Obs
+module Json = Taskalloc_obs.Json
+
+(* Write [BENCH_<experiment>.json] at the repository root (the nearest
+   ancestor with a dune-project, so the file lands in one gitignored
+   place whichever directory dune ran from) and return its path.  When
+   the registry holds span timings (every experiment runs with metrics
+   on) the rows are wrapped as
+   [{"phases": {<span>: seconds, ...}, "rows": ...}]. *)
+let write ~experiment rows =
+  let rec root dir =
+    if Sys.file_exists (Filename.concat dir "dune-project") then dir
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Sys.getcwd () else root parent
+  in
+  let v =
+    match Obs.phase_breakdown () with
+    | [] -> rows
+    | phases ->
+      Json.Obj
+        [
+          ("phases", Json.Obj (List.map (fun (n, s) -> (n, Json.Float s)) phases));
+          ("rows", rows);
+        ]
+  in
+  let path = Filename.concat (root (Sys.getcwd ())) ("BENCH_" ^ experiment ^ ".json") in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string v);
+      output_char oc '\n');
+  path
 
 let section title =
   Fmt.pr "@.=== %s ===@." title
@@ -374,28 +404,28 @@ let anytime ~quick () =
             (match gap with Some g -> Fmt.str "%.1f%%" (100. *. g) | None -> "-")
             (Fmt.str "%a" pp_time dt);
           rows :=
-            Bench_json.Obj
+            Json.Obj
               [
-                ("workload", Bench_json.Str name);
+                ("workload", Json.Str name);
                 ( "budget_s",
-                  if budget_s = infinity then Bench_json.Null
-                  else Bench_json.Float budget_s );
-                ("resolution", Bench_json.Str resolution);
+                  if budget_s = infinity then Json.Null
+                  else Json.Float budget_s );
+                ("resolution", Json.Str resolution);
                 ( "cost",
                   match cost with
-                  | Some c -> Bench_json.Int c
-                  | None -> Bench_json.Null );
+                  | Some c -> Json.Int c
+                  | None -> Json.Null );
                 ( "gap",
                   match gap with
-                  | Some g -> Bench_json.Float g
-                  | None -> Bench_json.Null );
-                ("wall_s", Bench_json.Float dt);
+                  | Some g -> Json.Float g
+                  | None -> Json.Null );
+                ("wall_s", Json.Float dt);
               ]
             :: !rows)
         budgets)
     workloads;
   let path =
-    Bench_json.write ~experiment:"anytime" (Bench_json.List (List.rev !rows))
+    write ~experiment:"anytime" (Json.List (List.rev !rows))
   in
   Fmt.pr "  shape check: larger budgets climb the ladder (heuristic/anytime -> optimal)@.";
   Fmt.pr "  wrote %s (%d rows)@." path (List.length !rows)
@@ -450,23 +480,23 @@ let portfolio ~quick () =
         Printf.sprintf "  (no speedup claim: %d jobs on %d cores)" jobs cores
       | None -> "");
     rows :=
-      Bench_json.Obj
+      Json.Obj
         [
-          ("workload", Bench_json.Str workload);
-          ("strategy", Bench_json.Str strategy);
-          ("seed", Bench_json.Int seed);
-          ("jobs", Bench_json.Int jobs);
-          ("cores_available", Bench_json.Int cores);
-          ("outcome", Bench_json.Str outcome);
-          ("winner", Bench_json.Int winner);
+          ("workload", Json.Str workload);
+          ("strategy", Json.Str strategy);
+          ("seed", Json.Int seed);
+          ("jobs", Json.Int jobs);
+          ("cores_available", Json.Int cores);
+          ("outcome", Json.Str outcome);
+          ("winner", Json.Int winner);
           ( "cost",
-            match cost with Some c -> Bench_json.Int c | None -> Bench_json.Null
+            match cost with Some c -> Json.Int c | None -> Json.Null
           );
-          ("wall_s", Bench_json.Float wall);
+          ("wall_s", Json.Float wall);
           ( "speedup_vs_seq",
             match speedup with
-            | Some s -> Bench_json.Float s
-            | None -> Bench_json.Null );
+            | Some s -> Json.Float s
+            | None -> Json.Null );
         ]
       :: !rows;
     speedup
@@ -647,14 +677,14 @@ let portfolio ~quick () =
     *. float_of_int (clauses_before - clauses_after)
     /. float_of_int (max 1 clauses_before));
   rows :=
-    Bench_json.Obj
+    Json.Obj
       [
-        ("workload", Bench_json.Str "tindell43");
-        ("strategy", Bench_json.Str "inprocess-passes");
-        ("cores_available", Bench_json.Int cores);
-        ("clauses_before", Bench_json.Int clauses_before);
-        ("clauses_after", Bench_json.Int clauses_after);
-        ("pass_changes", Bench_json.Int changes);
+        ("workload", Json.Str "tindell43");
+        ("strategy", Json.Str "inprocess-passes");
+        ("cores_available", Json.Int cores);
+        ("clauses_before", Json.Int clauses_before);
+        ("clauses_after", Json.Int clauses_after);
+        ("pass_changes", Json.Int changes);
       ]
     :: !rows;
   let solve_t43 inprocess =
@@ -680,13 +710,13 @@ let portfolio ~quick () =
     List.iter
       (fun (label, conflicts, wall) ->
         rows :=
-          Bench_json.Obj
+          Json.Obj
             [
-              ("workload", Bench_json.Str "tindell43");
-              ("strategy", Bench_json.Str label);
-              ("cores_available", Bench_json.Int cores);
-              ("conflicts", Bench_json.Int conflicts);
-              ("wall_s", Bench_json.Float wall);
+              ("workload", Json.Str "tindell43");
+              ("strategy", Json.Str label);
+              ("cores_available", Json.Int cores);
+              ("conflicts", Json.Int conflicts);
+              ("wall_s", Json.Float wall);
             ]
           :: !rows)
       [
@@ -694,7 +724,7 @@ let portfolio ~quick () =
       ]
   | _ -> Fmt.pr "  tindell43 end-to-end: budget expired, no conflict totals@.");
   let path =
-    Bench_json.write ~experiment:"portfolio" (Bench_json.List (List.rev !rows))
+    write ~experiment:"portfolio" (Json.List (List.rev !rows))
   in
   Hashtbl.iter
     (fun w s -> Fmt.pr "  best speedup %-14s %.2fx at 4 workers@." w s)
@@ -839,16 +869,16 @@ let explain ~quick () =
      solves   speedup %.2fx@."
     n pp_time t_mus report.Explain.solves pp_time t_naive naive_solves mus_speedup;
   rows :=
-    Bench_json.Obj
+    Json.Obj
       [
-        ("part", Bench_json.Str "mus");
-        ("instance", Bench_json.Str (Printf.sprintf "pigeonhole%d" n));
-        ("core_size", Bench_json.Int mus_size);
-        ("incremental_s", Bench_json.Float t_mus);
-        ("incremental_solves", Bench_json.Int report.Explain.solves);
-        ("naive_s", Bench_json.Float t_naive);
-        ("naive_solves", Bench_json.Int naive_solves);
-        ("speedup", Bench_json.Float mus_speedup);
+        ("part", Json.Str "mus");
+        ("instance", Json.Str (Printf.sprintf "pigeonhole%d" n));
+        ("core_size", Json.Int mus_size);
+        ("incremental_s", Json.Float t_mus);
+        ("incremental_solves", Json.Int report.Explain.solves);
+        ("naive_s", Json.Float t_naive);
+        ("naive_solves", Json.Int naive_solves);
+        ("speedup", Json.Float mus_speedup);
       ]
     :: !rows;
 
@@ -885,17 +915,17 @@ let explain ~quick () =
       whatif_speedup
   else Fmt.pr "  shape check: OK (>= 2x, matching the paper's reuse ablation)@.";
   rows :=
-    Bench_json.Obj
+    Json.Obj
       [
-        ("part", Bench_json.Str "whatif");
-        ("workload", Bench_json.Str wname);
-        ("queries", Bench_json.Int (List.length queries));
-        ("incremental_s", Bench_json.Float t_inc);
-        ("fresh_s", Bench_json.Float t_fresh);
-        ("speedup", Bench_json.Float whatif_speedup);
+        ("part", Json.Str "whatif");
+        ("workload", Json.Str wname);
+        ("queries", Json.Int (List.length queries));
+        ("incremental_s", Json.Float t_inc);
+        ("fresh_s", Json.Float t_fresh);
+        ("speedup", Json.Float whatif_speedup);
       ]
     :: !rows;
-  let path = Bench_json.write ~experiment:"explain" (Bench_json.List (List.rev !rows)) in
+  let path = write ~experiment:"explain" (Json.List (List.rev !rows)) in
   Fmt.pr "  wrote %s (%d rows)@." path (List.length !rows)
 
 (* ---- observability overhead ---------------------------------------------- *)
@@ -1034,13 +1064,13 @@ let repair_bench ~quick () =
     Fmt.pr "  trial %d: warm repair %.4fs (%d migrations)  fresh re-solve %.4fs@."
       trial warm_s migrations fresh_s;
     rows :=
-      Bench_json.Obj
+      Json.Obj
         [
-          ("workload", Bench_json.Str name);
-          ("trial", Bench_json.Int trial);
-          ("warm_s", Bench_json.Float warm_s);
-          ("fresh_s", Bench_json.Float fresh_s);
-          ("migrations", Bench_json.Int migrations);
+          ("workload", Json.Str name);
+          ("trial", Json.Int trial);
+          ("warm_s", Json.Float warm_s);
+          ("fresh_s", Json.Float fresh_s);
+          ("migrations", Json.Int migrations);
         ]
       :: !rows
   done;
@@ -1062,12 +1092,12 @@ let repair_bench ~quick () =
     Fmt.pr "  shape check: warm-start repair >= 2x faster than re-solve  OK@."
   else Fmt.pr "  shape check:   VIOLATED: speedup %.1fx < 2x@." speedup;
   let path =
-    Bench_json.write ~experiment:"repair"
-      (Bench_json.Obj
+    write ~experiment:"repair"
+      (Json.Obj
          [
-           ("rows", Bench_json.List (List.rev !rows));
-           ("speedup", Bench_json.Float speedup);
-           ("shape_ok", Bench_json.Bool (quick || speedup >= 2.));
+           ("rows", Json.List (List.rev !rows));
+           ("speedup", Json.Float speedup);
+           ("shape_ok", Json.Bool (quick || speedup >= 2.));
          ])
   in
   Fmt.pr "  wrote %s@." path
@@ -1140,16 +1170,16 @@ let obs_overhead ~quick () =
   else
     Fmt.pr "  shape check: VIOLATED: overhead %.1f%% > 5%%@." (100. *. overhead);
   let library_row =
-    Bench_json.Obj
+    Json.Obj
       [
-        ("path", Bench_json.Str "library");
-        ("workload", Bench_json.Str (Printf.sprintf "3sat n=%d m=%d x%d" n m (List.length seeds)));
-        ("reps", Bench_json.Int reps);
-        ("disabled_s", Bench_json.Float t_off);
-        ("enabled_s", Bench_json.Float t_on);
-        ("overhead", Bench_json.Float overhead);
-        ("progress_samples", Bench_json.Int samples);
-        ("clock_samples_while_off", Bench_json.Int null_samples);
+        ("path", Json.Str "library");
+        ("workload", Json.Str (Printf.sprintf "3sat n=%d m=%d x%d" n m (List.length seeds)));
+        ("reps", Json.Int reps);
+        ("disabled_s", Json.Float t_off);
+        ("enabled_s", Json.Float t_on);
+        ("overhead", Json.Float overhead);
+        ("progress_samples", Json.Int samples);
+        ("clock_samples_while_off", Json.Int null_samples);
       ]
   in
   (* the daemon path: the same enabled-vs-disabled comparison over the
@@ -1165,7 +1195,6 @@ let obs_overhead ~quick () =
     else begin
       let module Server = Taskalloc_server.Server in
       let module Client = Taskalloc_server.Client in
-      let module Json = Taskalloc_server.Json in
       let sock =
         Filename.concat
           (Filename.get_temp_dir_name ())
@@ -1276,27 +1305,27 @@ let obs_overhead ~quick () =
         Fmt.pr "  shape check: VIOLATED: daemon overhead %.1f%% > 5%%@."
           (100. *. d_overhead);
       [
-        Bench_json.Obj
+        Json.Obj
           [
-            ("path", Bench_json.Str "daemon");
+            ("path", Json.Str "daemon");
             ( "workload",
-              Bench_json.Str
+              Json.Str
                 (Printf.sprintf "tasks12 whatif x%d, %d clients" per_client
                    n_clients) );
-            ("reps", Bench_json.Int reps);
-            ("disabled_s", Bench_json.Float d_off);
-            ("enabled_s", Bench_json.Float d_on);
-            ("overhead", Bench_json.Float d_overhead);
-            ("flight_events_recorded", Bench_json.Int flight_recorded);
-            ("shape_ok", Bench_json.Bool (d_overhead <= 0.05));
+            ("reps", Json.Int reps);
+            ("disabled_s", Json.Float d_off);
+            ("enabled_s", Json.Float d_on);
+            ("overhead", Json.Float d_overhead);
+            ("flight_events_recorded", Json.Int flight_recorded);
+            ("shape_ok", Json.Bool (d_overhead <= 0.05));
           ];
       ]
     end
   in
   Obs.clear ();
   let path =
-    Bench_json.write ~experiment:"obs"
-      (Bench_json.List (library_row :: daemon_rows))
+    write ~experiment:"obs"
+      (Json.List (library_row :: daemon_rows))
   in
   Fmt.pr "  wrote %s@." path
 
@@ -1385,25 +1414,25 @@ let cegar ~quick () =
           e_res.Allocator.cost l_cost;
       last := Some (name, size_ratio, enc_speedup);
       rows :=
-        Bench_json.Obj
+        Json.Obj
           [
-            ("workload", Bench_json.Str name);
-            ("eager_encode_s", Bench_json.Float e_enc_s);
-            ("lazy_encode_s", Bench_json.Float l_enc_s);
-            ("eager_vars", Bench_json.Int e_vars);
-            ("eager_lits", Bench_json.Int e_lits);
-            ("abstraction_vars", Bench_json.Int a_vars);
-            ("abstraction_lits", Bench_json.Int a_lits);
-            ("final_lazy_vars", Bench_json.Int f_vars);
-            ("final_lazy_lits", Bench_json.Int f_lits);
-            ("eager_solve_s", Bench_json.Float e_solve_s);
-            ("lazy_solve_s", Bench_json.Float l_solve_s);
-            ("cost", Bench_json.Int l_cost);
-            ("rounds", Bench_json.Int rounds);
-            ("refined_tasks", Bench_json.Int rt);
-            ("refined_media", Bench_json.Int rm);
-            ("size_ratio", Bench_json.Float size_ratio);
-            ("encode_speedup", Bench_json.Float enc_speedup);
+            ("workload", Json.Str name);
+            ("eager_encode_s", Json.Float e_enc_s);
+            ("lazy_encode_s", Json.Float l_enc_s);
+            ("eager_vars", Json.Int e_vars);
+            ("eager_lits", Json.Int e_lits);
+            ("abstraction_vars", Json.Int a_vars);
+            ("abstraction_lits", Json.Int a_lits);
+            ("final_lazy_vars", Json.Int f_vars);
+            ("final_lazy_lits", Json.Int f_lits);
+            ("eager_solve_s", Json.Float e_solve_s);
+            ("lazy_solve_s", Json.Float l_solve_s);
+            ("cost", Json.Int l_cost);
+            ("rounds", Json.Int rounds);
+            ("refined_tasks", Json.Int rt);
+            ("refined_media", Json.Int rm);
+            ("size_ratio", Json.Float size_ratio);
+            ("encode_speedup", Json.Float enc_speedup);
           ]
         :: !rows)
     instances;
@@ -1422,13 +1451,13 @@ let cegar ~quick () =
        speedup %.1fx (want >= 2x)@."
       name size_ratio enc_speedup;
   let path =
-    Bench_json.write ~experiment:"cegar"
-      (Bench_json.Obj
+    write ~experiment:"cegar"
+      (Json.Obj
          [
-           ("rows", Bench_json.List (List.rev !rows));
-           ("size_ratio", Bench_json.Float size_ratio);
-           ("encode_speedup", Bench_json.Float enc_speedup);
-           ("shape_ok", Bench_json.Bool shape_ok);
+           ("rows", Json.List (List.rev !rows));
+           ("size_ratio", Json.Float size_ratio);
+           ("encode_speedup", Json.Float enc_speedup);
+           ("shape_ok", Json.Bool shape_ok);
          ])
   in
   Fmt.pr "  wrote %s@." path
@@ -1507,7 +1536,6 @@ let micro () =
 let daemon_bench ~quick () =
   let module Server = Taskalloc_server.Server in
   let module Client = Taskalloc_server.Client in
-  let module Json = Taskalloc_server.Json in
   section "allocation service: warm sessions vs fresh re-encode";
   let sock =
     Filename.concat
@@ -1631,24 +1659,24 @@ let daemon_bench ~quick () =
   Server.stop server;
   Domain.join serving;
   let path =
-    Bench_json.write ~experiment:"daemon"
-      (Bench_json.Obj
+    write ~experiment:"daemon"
+      (Json.Obj
          [
-           ("workload", Bench_json.Str wname);
-           ("queries", Bench_json.Int (List.length queries));
-           ("warm_s", Bench_json.Float warm_s);
-           ("fresh_s", Bench_json.Float fresh_s);
-           ("speedup", Bench_json.Float speedup);
-           ("shape_ok", Bench_json.Bool (quick || speedup >= 2.));
+           ("workload", Json.Str wname);
+           ("queries", Json.Int (List.length queries));
+           ("warm_s", Json.Float warm_s);
+           ("fresh_s", Json.Float fresh_s);
+           ("speedup", Json.Float speedup);
+           ("shape_ok", Json.Bool (quick || speedup >= 2.));
            ( "throughput",
-             Bench_json.Obj
+             Json.Obj
                [
-                 ("clients", Bench_json.Int n_clients);
-                 ("requests", Bench_json.Int n_requests);
-                 ("deadline_ms", Bench_json.Int deadline_ms);
-                 ("wall_s", Bench_json.Float wall_s);
-                 ("requests_per_s", Bench_json.Float rps);
-                 ("cores_available", Bench_json.Int cores);
+                 ("clients", Json.Int n_clients);
+                 ("requests", Json.Int n_requests);
+                 ("deadline_ms", Json.Int deadline_ms);
+                 ("wall_s", Json.Float wall_s);
+                 ("requests_per_s", Json.Float rps);
+                 ("cores_available", Json.Int cores);
                ] );
          ])
   in

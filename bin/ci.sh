@@ -383,6 +383,14 @@ dflight=$(mktemp -u /tmp/ci-taskallocd-XXXXXX-flight.json)
 "$TAD" --socket "$dsock" --workers 2 \
     --prometheus 127.0.0.1:0 --flight "$dflight" 2> "$dlog" &
 dpid=$!
+# a failed assertion below exits at once: stop the daemon and remove its
+# files on every exit path, not only after the SIGTERM drain
+daemon_cleanup() {
+    kill "$dpid" 2>/dev/null || true
+    rm -f "$dsock" "$dlog" "$dflight" \
+        ${watchout:+"$watchout"} ${solveout:+"$solveout"} ${cancelout:+"$cancelout"}
+}
+trap daemon_cleanup EXIT
 i=0
 while [ ! -S "$dsock" ]; do
     i=$((i+1))
@@ -571,6 +579,7 @@ rc=0
 wait "$dpid" || rc=$?
 [ "$rc" -eq 0 ] || { echo "FAIL: daemon exit code $rc on SIGTERM"; exit 1; }
 [ ! -e "$dsock" ] || { echo "FAIL: socket file not cleaned up"; exit 1; }
+trap - EXIT
 rm -f "$dlog"
 
 # warm-vs-fresh harness end to end on a toy instance (speedups are not

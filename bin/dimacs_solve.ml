@@ -137,23 +137,11 @@ let parse_args () =
   end;
   o
 
-(* Enable the observability sinks requested by the flags.  --stats also
-   turns the metrics registry on internally so the snapshot printed
-   after the standard stat lines has data to draw from.  Files are
-   written from [at_exit] so the Unsat (exit 20) path still flushes. *)
+(* --stats also turns the metrics registry on so the snapshot printed
+   after the standard stat lines has data to draw from. *)
 let obs_setup o =
-  let tracing = o.trace <> None in
-  let want_metrics = o.metrics <> None || tracing || o.stats in
-  if tracing || want_metrics then begin
-    Obs.enable ~tracing ~metrics:want_metrics ();
-    at_exit (fun () ->
-        (match o.trace with
-        | Some f ->
-          Obs.write_trace f;
-          Obs.write_jsonl (Filename.remove_extension f ^ ".jsonl")
-        | None -> ());
-        match o.metrics with Some f -> Obs.write_metrics f | None -> ())
-  end;
+  Obs.sinks_at_exit ~trace:o.trace ~metrics:o.metrics;
+  if o.stats then Obs.enable ~tracing:(Obs.tracing_on ()) ~metrics:true ();
   if o.progress then
     Obs.set_sample_hook
       (Some

@@ -54,19 +54,7 @@ let () =
   in
   go (List.tl (Array.to_list Sys.argv));
   let path = match !path with Some p -> p | None -> usage () in
-  let tracing = !trace <> None in
-  let want_metrics = !metrics <> None || tracing in
-  if tracing || want_metrics then begin
-    Obs.enable ~tracing ~metrics:want_metrics ();
-    (* at_exit so the Unsat (exit 20) path still flushes the files *)
-    at_exit (fun () ->
-        (match !trace with
-        | Some f ->
-          Obs.write_trace f;
-          Obs.write_jsonl (Filename.remove_extension f ^ ".jsonl")
-        | None -> ());
-        match !metrics with Some f -> Obs.write_metrics f | None -> ())
-  end;
+  Obs.sinks_at_exit ~trace:!trace ~metrics:!metrics;
   if !progress then
     Obs.set_sample_hook
       (Some

@@ -154,6 +154,7 @@ let parallel_arg =
 (* -- observability ------------------------------------------------------ *)
 
 module Obs = Taskalloc_obs.Obs
+module Json = Taskalloc_obs.Json
 
 let trace_arg =
   Arg.(
@@ -183,22 +184,8 @@ let progress_arg =
           "Print one-line live solver progress to stderr at budget \
            checkpoint ticks.")
 
-(* Enable the requested sinks and register the output writers with
-   [at_exit], so traces are flushed even on the non-zero exit paths
-   (INFEASIBLE, UNKNOWN, validation failure). *)
 let obs_setup ~trace ~metrics ~progress =
-  let tracing = trace <> None in
-  let want_metrics = metrics <> None || tracing in
-  if tracing || want_metrics then begin
-    Obs.enable ~tracing ~metrics:want_metrics ();
-    at_exit (fun () ->
-        (match trace with
-        | Some f ->
-          Obs.write_trace f;
-          Obs.write_jsonl (Filename.remove_extension f ^ ".jsonl")
-        | None -> ());
-        match metrics with Some f -> Obs.write_metrics f | None -> ())
-  end;
+  Obs.sinks_at_exit ~trace ~metrics;
   if progress then
     Obs.set_sample_hook
       (Some
@@ -555,7 +542,8 @@ let explain_cmd =
       Taskalloc_explain.Explain.explain ~jobs ?budget ~max_relaxations:max_relax
         problem
     in
-    if json then print_endline (Taskalloc_explain.Explain.report_to_json report)
+    if json then
+      print_endline (Json.to_string (Taskalloc_explain.Explain.report_to_json report))
     else Fmt.pr "%a@." Taskalloc_explain.Explain.pp_report report;
     match report.Taskalloc_explain.Explain.status with
     | Taskalloc_explain.Explain.Feasible -> ()
@@ -618,7 +606,7 @@ let whatif_cmd =
         in
         let verdict = W.query ?budget session ds in
         let label = if q = "" then "baseline" else q in
-        if json then Fmt.pr "%s@." (W.verdict_to_json session verdict)
+        if json then Fmt.pr "%s@." (Json.to_string (W.verdict_to_json session verdict))
         else
           match verdict with
           | W.Feasible { allocation; relaxed } ->
@@ -752,7 +740,7 @@ let repair_cmd =
             Fmt.epr "event %d: %s@." (i + 1) m;
             exit 2
         in
-        if json then Fmt.pr "%s@." (Repair.outcome_to_json outcome)
+        if json then Fmt.pr "%s@." (Json.to_string (Repair.outcome_to_json outcome))
         else begin
           Fmt.pr "@[<v>t=%d  %a@,%a@]@." at (Repair.pp_event before) event
             (Repair.pp_outcome before) outcome
@@ -830,7 +818,6 @@ let repair_cmd =
       $ json_arg $ trace_arg $ metrics_arg $ progress_arg)
 
 let client_cmd =
-  let module Json = Taskalloc_server.Json in
   let module Client = Taskalloc_server.Client in
   let run socket tcp watch cancel requests =
     let listen =

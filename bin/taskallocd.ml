@@ -124,21 +124,7 @@ let verbose_arg =
 
 let main socket tcp prometheus flight workers max_sessions queue lazy_mode
     trace metrics verbose =
-  (* same at_exit flushing discipline as the batch CLI: sinks are
-     written even when the daemon dies on an uncaught signal-free
-     path *)
-  let tracing = trace <> None in
-  let want_metrics = metrics <> None || tracing in
-  if tracing || want_metrics then begin
-    Obs.enable ~tracing ~metrics:want_metrics ();
-    at_exit (fun () ->
-        (match trace with
-        | Some f ->
-          Obs.write_trace f;
-          Obs.write_jsonl (Filename.remove_extension f ^ ".jsonl")
-        | None -> ());
-        match metrics with Some f -> Obs.write_metrics f | None -> ())
-  end;
+  Obs.sinks_at_exit ~trace ~metrics;
   let listen =
     match tcp with
     | Some (host, port) -> `Tcp (host, port)

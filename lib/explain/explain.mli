@@ -114,7 +114,13 @@ val explain :
     [max_relaxations] (default 3) caps the correction sets reported. *)
 
 val pp_report : Format.formatter -> report -> unit
-val report_to_json : report -> string
+val report_to_json : report -> Taskalloc_obs.Json.t
+
+val groups_to_json : Encode.group list -> Taskalloc_obs.Json.t
+(** [[{"id": <group_id>, "descr": <descr>}, ...]]. *)
+
+val placement_to_json : Model.problem -> Model.allocation -> Taskalloc_obs.Json.t
+(** [[[<task name>, <ecu>], ...]] in task order. *)
 
 (** Incremental what-if sessions: one grouped encoding and one solver
     kept alive across queries, each query a set of deltas installed as
@@ -189,5 +195,5 @@ module Whatif : sig
       ["drop capacity <ecu>"], ["drop msg-deadline <id>"].  Tasks may
       be named or numbered. *)
 
-  val verdict_to_json : t -> verdict -> string
+  val verdict_to_json : t -> verdict -> Taskalloc_obs.Json.t
 end

@@ -574,23 +574,29 @@ let empty_disruption_report =
     d_failures = [];
   }
 
-let run_disruptions ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
+(* Run [iter i] for every [i < iters] and fold the results.  Iterations
+   are deterministic in their index, so splitting them round-robin over
+   [jobs] domains changes nothing but wall time. *)
+let campaign ~jobs ~iters ~merge ~empty iter =
   let results =
-    if jobs <= 1 then List.init iters (disruption_iter ~seed)
+    if jobs <= 1 then List.init iters iter
     else begin
-      (* iterations are deterministic in (seed, i), so splitting them
-         round-robin over domains changes nothing but wall time *)
-      let chunks = Array.make (max 1 jobs) [] in
+      let chunks = Array.make jobs [] in
       for i = iters - 1 downto 0 do
-        chunks.(i mod Array.length chunks) <- i :: chunks.(i mod Array.length chunks)
+        chunks.(i mod jobs) <- i :: chunks.(i mod jobs)
       done;
       Array.to_list chunks
-      |> List.map (fun idxs ->
-             Domain.spawn (fun () -> List.map (disruption_iter ~seed) idxs))
+      |> List.map (fun idxs -> Domain.spawn (fun () -> List.map iter idxs))
       |> List.concat_map Domain.join
     end
   in
-  let report = List.fold_left merge_disruptions empty_disruption_report results in
+  List.fold_left merge empty results
+
+let run_disruptions ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
+  let report =
+    campaign ~jobs ~iters ~merge:merge_disruptions ~empty:empty_disruption_report
+      (disruption_iter ~seed)
+  in
   List.iter log report.d_failures;
   report
 
@@ -754,20 +760,9 @@ let empty_lazy_report =
   }
 
 let run_lazy ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
-  let results =
-    if jobs <= 1 then List.init iters (lazy_iter ~seed)
-    else begin
-      let chunks = Array.make (max 1 jobs) [] in
-      for i = iters - 1 downto 0 do
-        chunks.(i mod Array.length chunks) <- i :: chunks.(i mod Array.length chunks)
-      done;
-      Array.to_list chunks
-      |> List.map (fun idxs ->
-             Domain.spawn (fun () -> List.map (lazy_iter ~seed) idxs))
-      |> List.concat_map Domain.join
-    end
+  let report =
+    campaign ~jobs ~iters ~merge:merge_lazy ~empty:empty_lazy_report (lazy_iter ~seed)
   in
-  let report = List.fold_left merge_lazy empty_lazy_report results in
   List.iter log report.l_failures;
   report
 
@@ -906,21 +901,10 @@ let empty_inprocess_report =
 
 let run_inprocess ?(max_vars = 10) ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
   let max_vars = min 16 (max 2 max_vars) in
-  let results =
-    if jobs <= 1 then List.init iters (inprocess_iter ~max_vars ~seed)
-    else begin
-      let chunks = Array.make (max 1 jobs) [] in
-      for i = iters - 1 downto 0 do
-        chunks.(i mod Array.length chunks) <- i :: chunks.(i mod Array.length chunks)
-      done;
-      Array.to_list chunks
-      |> List.map (fun idxs ->
-             Domain.spawn (fun () ->
-                 List.map (inprocess_iter ~max_vars ~seed) idxs))
-      |> List.concat_map Domain.join
-    end
+  let report =
+    campaign ~jobs ~iters ~merge:merge_inprocess ~empty:empty_inprocess_report
+      (inprocess_iter ~max_vars ~seed)
   in
-  let report = List.fold_left merge_inprocess empty_inprocess_report results in
   List.iter log report.i_failures;
   report
 

@@ -207,7 +207,7 @@ val request_ids : unit -> string list
 (** Distinct request ids appearing in the recorded events, in order of
     first appearance. *)
 
-val trace_json : ?request:string -> unit -> string
+val trace_json : ?request:string -> unit -> Json.t
 (** Chrome trace-event JSON: [{"traceEvents": [...]}] with ["X"]
     (complete), ["i"] (instant), and ["C"] (counter) phases — loadable
     in Perfetto / chrome://tracing.  [?request] restricts the trace to
@@ -216,7 +216,7 @@ val trace_json : ?request:string -> unit -> string
 val jsonl : unit -> string
 (** The same events, one JSON object per line. *)
 
-val metrics_json : unit -> string
+val metrics_json : unit -> Json.t
 (** Snapshot of the registry as one JSON object with [counters],
     [gauges], and [histograms] members. *)
 
@@ -226,12 +226,14 @@ val phase_breakdown : unit -> (string * float) list
     recorded into [BENCH_*.json]. *)
 
 val write_trace : string -> unit
-val write_jsonl : string -> unit
-val write_metrics : string -> unit
+(** Write {!trace_json} to a file. *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal (shared by
-    the emitters above and the CLIs). *)
+val sinks_at_exit : trace:string option -> metrics:string option -> unit
+(** The command-line sink set-up: [trace] turns tracing on, and either
+    file turns metrics on.  At exit, the trace is written to [trace]
+    with a [.jsonl] sibling (the {!jsonl} log) and the {!metrics_json}
+    snapshot to [metrics], so the files appear on every exit path,
+    non-zero ones included.  Does nothing when both are [None]. *)
 
 (** {1 Flight recorder}
 
@@ -283,7 +285,7 @@ module Flight : sig
       seconds, [ev_dur] in seconds — unlike the trace-sink events,
       which are in microseconds since the epoch). *)
 
-  val dump_json : unit -> string
-  (** The ring as single-line Chrome trace-event JSON, timestamps
-      rebased to the oldest retained event. *)
+  val dump_json : unit -> Json.t
+  (** The ring as a Chrome trace, timestamps rebased to the oldest
+      retained event. *)
 end

@@ -51,6 +51,7 @@ module Session = Explain.Session
 module Opt = Taskalloc_opt.Opt
 module Budget = Taskalloc_sat.Budget
 module Obs = Taskalloc_obs.Obs
+module Json = Taskalloc_obs.Json
 
 type event =
   | Ecu_failure of { ecu : int }
@@ -294,66 +295,48 @@ let pp_outcome _problem ppf = function
       Fmt.pf ppf "@\n  validated: %d analyzer violations, %d simulated misses"
         r.check_violations r.sim_misses
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let group_json g =
-  Printf.sprintf "{\"id\":\"%s\",\"descr\":\"%s\"}"
-    (json_escape (Encode.group_id g))
-    (json_escape g.Encode.descr)
-
-let groups_json gs = String.concat "," (List.map group_json gs)
-
 let outcome_to_json = function
-  | Unknown -> "{\"status\":\"unknown\"}"
+  | Unknown -> Json.Obj [ ("status", Json.Str "unknown") ]
   | Irreparable { core; why } ->
-    Printf.sprintf "{\"status\":\"irreparable\",\"why\":\"%s\",\"core\":[%s]}"
-      (json_escape why) (groups_json core)
+    Json.Obj
+      [
+        ("status", Json.Str "irreparable");
+        ("why", Json.Str why);
+        ("core", Explain.groups_to_json core);
+      ]
   | Repaired r ->
-    let migrations =
-      List.map
-        (fun m ->
-          Printf.sprintf
-            "{\"task\":\"%s\",\"from\":%d,\"to\":%d,\"forced\":%b,\"because\":[%s]}"
-            (json_escape m.m_task) m.m_from m.m_to m.m_forced
-            (groups_json m.m_because))
-        r.migrations
+    let migration m =
+      Json.Obj
+        [
+          ("task", Json.Str m.m_task);
+          ("from", Json.Int m.m_from);
+          ("to", Json.Int m.m_to);
+          ("forced", Json.Bool m.m_forced);
+          ("because", Explain.groups_to_json m.m_because);
+        ]
     in
-    let sheds =
-      List.map
-        (fun s ->
-          Printf.sprintf
-            "{\"task\":\"%s\",\"criticality\":%d,\"because\":[%s]}"
-            (json_escape s.s_task) s.s_criticality (groups_json s.s_because))
-        r.sheds
+    let shed s =
+      Json.Obj
+        [
+          ("task", Json.Str s.s_task);
+          ("criticality", Json.Int s.s_criticality);
+          ("because", Explain.groups_to_json s.s_because);
+        ]
     in
-    let placement =
-      Array.to_list r.allocation.Model.task_ecu
-      |> List.mapi (fun i e ->
-             Printf.sprintf "[\"%s\",%d]"
-               (json_escape r.problem.Model.tasks.(i).Model.task_name)
-               e)
-    in
-    Printf.sprintf
-      "{\"status\":\"repaired\",\"degraded\":%b,\"warm\":%b,\"optimal\":%b,\
-       \"migrations\":[%s],\"sheds\":[%s],\"placement\":[%s],\"solves\":%d,\
-       \"check_violations\":%d,\"sim_misses\":%d,\"time_s\":%.6f}"
-      r.degraded r.warm r.optimal
-      (String.concat "," migrations)
-      (String.concat "," sheds)
-      (String.concat "," placement)
-      r.solves r.check_violations r.sim_misses r.time_s
+    Json.Obj
+      [
+        ("status", Json.Str "repaired");
+        ("degraded", Json.Bool r.degraded);
+        ("warm", Json.Bool r.warm);
+        ("optimal", Json.Bool r.optimal);
+        ("migrations", Json.List (List.map migration r.migrations));
+        ("sheds", Json.List (List.map shed r.sheds));
+        ("placement", Explain.placement_to_json r.problem r.allocation);
+        ("solves", Json.Int r.solves);
+        ("check_violations", Json.Int r.check_violations);
+        ("sim_misses", Json.Int r.sim_misses);
+        ("time_s", Json.Float r.time_s);
+      ]
 
 (* -- online state ------------------------------------------------------- *)
 

@@ -318,7 +318,7 @@ let dump_flight t reason =
   | Some path -> (
     try
       let oc = open_out path in
-      output_string oc (Obs.Flight.dump_json ());
+      output_string oc (Json.to_string (Obs.Flight.dump_json ()));
       output_char oc '\n';
       close_out oc;
       if t.cfg.verbose then
@@ -495,15 +495,6 @@ let parallel_of_string = function
   | "portfolio" -> Ok `Portfolio
   | "cubes" -> Ok `Cubes
   | s -> Error s
-
-let placement_json problem (alloc : Model.allocation) =
-  Json.List
-    (Array.to_list
-       (Array.mapi
-          (fun i e ->
-            Json.List
-              [ Json.Str problem.Model.tasks.(i).Model.task_name; Json.Int e ])
-          alloc.Model.task_ecu))
 
 (* -- open --------------------------------------------------------------- *)
 
@@ -682,7 +673,8 @@ let do_solve t job =
                ]
               @ quality
               @ [
-                  ("placement", placement_json s.sproblem r.Allocator.allocation);
+                  ( "placement",
+                    Explain.placement_to_json s.sproblem r.Allocator.allocation );
                   ("violations", Json.Int (List.length r.Allocator.violations));
                   ("bool_vars", Json.Int r.Allocator.bool_vars);
                   ("literals", Json.Int r.Allocator.literals);
@@ -708,7 +700,7 @@ let do_whatif t job =
             | _ -> ());
             ok
               [
-                ("verdict", Json.Raw (W.verdict_to_json w v));
+                ("verdict", W.verdict_to_json w v);
                 ("session_solves", Json.Int (W.solves w));
                 ("session_queries", Json.Int (W.queries w));
               ]))
@@ -724,7 +716,7 @@ let do_explain t job =
         Explain.explain ~options:s.soptions ~jobs ?budget ~max_relaxations
           s.sproblem
       in
-      ok [ ("report", Json.Raw (Explain.report_to_json report)) ])
+      ok [ ("report", Explain.report_to_json report) ])
 
 (* -- repair ------------------------------------------------------------- *)
 
@@ -756,8 +748,7 @@ let do_repair t job =
                             allocation to repair")
                     | W.Unknown ->
                       Error
-                        (ok
-                           [ ("outcome", Json.Raw "{\"status\":\"unknown\"}") ]))
+                        (ok [ ("outcome", Repair.outcome_to_json Repair.Unknown) ]))
             in
             match alloc with
             | Error e -> Error e
@@ -798,7 +789,7 @@ let do_repair t job =
               | Repair.Irreparable _ | Repair.Unknown -> ());
               ok
                 [
-                  ("outcome", Json.Raw (Repair.outcome_to_json outcome));
+                  ("outcome", Repair.outcome_to_json outcome);
                   ("tasks", Json.Int (Array.length s.sproblem.Model.tasks));
                 ]))))
 
@@ -981,9 +972,8 @@ let watcher_send w line =
 
 let progress_line entry name kvs =
   (* the "t" kv is an absolute epoch timestamp for the flight recorder;
-     it is dropped from the wire line (Json.Float prints %.6g, which
-     would mangle it, and watchers get event ordering from the stream
-     itself) *)
+     it is dropped from the wire line because watchers get event
+     ordering from the stream itself *)
   Json.to_string
     (Json.Obj
        ([
@@ -1083,7 +1073,7 @@ let do_dump t =
   dump_flight t "dump verb";
   ok
     [
-      ("flight", Json.Raw (Obs.Flight.dump_json ()));
+      ("flight", Obs.Flight.dump_json ());
       ("events", Json.Int (Obs.Flight.size ()));
       ("total", Json.Int (Obs.Flight.total ()));
     ]
@@ -1299,7 +1289,7 @@ let handle_line t fd line =
         else if kind = "cancel" then (do_cancel t req, id)
         else if kind = "dump" then (do_dump t, id)
         else if kind = "metrics" then
-          (ok [ ("metrics", Json.Raw (Obs.metrics_json ())) ], id)
+          (ok [ ("metrics", Obs.metrics_json ()) ], id)
         else if not (List.mem kind pooled) then
           (err ~code:"unknown_kind" "unknown request kind %S" kind, id)
         else begin

@@ -10,6 +10,7 @@
 open Taskalloc_rt
 open Taskalloc_core
 module Explain = Taskalloc_explain.Explain
+module Json = Taskalloc_obs.Json
 module Solver = Taskalloc_sat.Solver
 module Budget = Taskalloc_sat.Budget
 module Bv = Taskalloc_bv.Bv
@@ -586,6 +587,70 @@ let whatif_current_differential =
            (list_repeat 6 (list_size (int_range 0 3) gen_intent))))
     prop_whatif_current_agrees
 
+(* -- JSON answers: exact bytes ----------------------------------------- *)
+
+(* The expected strings are the bytes of the printf emitters these
+   answers had before they were built as [Json.t], with two deliberate
+   differences: [time_s] prints as the shortest decimal that reads back
+   as the same float ([0.25], not [0.250000]), and a tab or carriage
+   return escapes as [\t] / [\r] rather than [\u0009] / [\u000d]. *)
+
+(* names and descriptions carrying a quote, a backslash, a newline, a
+   tab and a carriage return *)
+let awkward_problem () =
+  Model.make_problem ~arch:arch2
+    ~tasks:
+      [
+        mk_task 0 "q\"uote" 100 50 [ (0, 15); (1, 15) ];
+        mk_task 1 "back\\slash" 100 50 [ (0, 15); (1, 15) ];
+        mk_task 2 "new\nline\ttab\rcr" 100 90 [ (0, 5); (1, 5) ];
+      ]
+
+let test_json_golden () =
+  let group kind descr = { Encode.selector = Taskalloc_sat.Lit.of_var 1; kind; descr } in
+  let g0 = group (Encode.G_deadline 0) "deadline of q\"uote (d=50)" in
+  let g1 = group (Encode.G_separation (1, 2)) "sep \\ of\n\tx\r" in
+  let report status relaxations solves time_s =
+    Json.to_string (Explain.report_to_json { Explain.status; relaxations; solves; time_s })
+  in
+  Alcotest.(check string) "explained report"
+    {|{"status":"infeasible","minimal":false,"core":[{"id":"deadline:0","descr":"deadline of q\"uote (d=50)"},{"id":"separation:1:2","descr":"sep \\ of\n\tx\r"}],"relaxations":[[{"id":"deadline:0","descr":"deadline of q\"uote (d=50)"}],[{"id":"separation:1:2","descr":"sep \\ of\n\tx\r"},{"id":"deadline:0","descr":"deadline of q\"uote (d=50)"}]],"solves":7,"time_s":0.25}|}
+    (report
+       (Explain.Explained { core = [ g0; g1 ]; minimal = false })
+       [ [ g0 ]; [ g1; g0 ] ] 7 0.25);
+  Alcotest.(check string) "feasible report"
+    {|{"status":"feasible","minimal":true,"core":[],"relaxations":[],"solves":1,"time_s":1234567.891}|}
+    (report Explain.Feasible [] 1 1234567.891);
+  let w = Explain.Whatif.create (awkward_problem ()) in
+  let verdict v = Json.to_string (Explain.Whatif.verdict_to_json w v) in
+  let allocation =
+    {
+      Model.task_ecu = [| 0; 1; 0 |];
+      msg_route = [||];
+      slots = Hashtbl.create 1;
+      priority_rank = None;
+    }
+  in
+  Alcotest.(check string) "feasible verdict"
+    {|{"status":"feasible","relaxed":true,"placement":[["q\"uote",0],["back\\slash",1],["new\nline\ttab\rcr",0]]}|}
+    (verdict (Explain.Whatif.Feasible { allocation; relaxed = true }));
+  Alcotest.(check string) "infeasible verdict"
+    {|{"status":"infeasible","core_groups":[{"id":"separation:1:2","descr":"sep \\ of\n\tx\r"}],"core_deltas":["pin q\"uote on ECU1","forbid new\nline\ttab\rcr on ECU0","deadline of back\\slash := 40","drop deadline of new\nline\ttab\rcr (d=90)"]}|}
+    (verdict
+       (Explain.Whatif.Infeasible
+          {
+            groups = [ g1 ];
+            deltas =
+              [
+                Explain.Whatif.Pin { task = 0; ecu = 1 };
+                Explain.Whatif.Forbid { task = 2; ecu = 0 };
+                Explain.Whatif.Set_deadline { task = 1; deadline = 40 };
+                Explain.Whatif.Drop (Encode.G_deadline 2);
+              ];
+          }));
+  Alcotest.(check string) "unknown verdict" {|{"status":"unknown"}|}
+    (verdict Explain.Whatif.Unknown)
+
 let suite =
   [
     Alcotest.test_case "feasible problem" `Quick test_explain_feasible;
@@ -608,6 +673,7 @@ let suite =
     Alcotest.test_case "parse deltas" `Quick test_parse_deltas;
     Alcotest.test_case "whatif answers from the allocation in force" `Quick
       test_whatif_current_answers;
+    Alcotest.test_case "JSON answers: exact bytes" `Quick test_json_golden;
     QCheck_alcotest.to_alcotest whatif_current_differential;
     QCheck_alcotest.to_alcotest prop_explained_cores_check;
   ]

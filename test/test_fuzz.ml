@@ -76,17 +76,54 @@ let test_disruption_campaign () =
   Alcotest.(check int) "no unknowns without a budget" 0 report.Fuzz.d_unknown;
   Alcotest.(check (list string)) "no failures" [] report.Fuzz.d_failures
 
-let test_disruption_campaign_parallel () =
-  (* results must be independent of how iterations are spread over
-     domains: only wall time may differ *)
-  let a = Fuzz.run_disruptions ~iters:12 ~seed:9 () in
-  let b = Fuzz.run_disruptions ~jobs:2 ~iters:12 ~seed:9 () in
-  Alcotest.(check (list string)) "no failures" [] b.Fuzz.d_failures;
-  Alcotest.(check bool) "jobs-invariant totals" true
-    (a.Fuzz.d_repaired = b.Fuzz.d_repaired
-    && a.Fuzz.d_degraded = b.Fuzz.d_degraded
-    && a.Fuzz.d_irreparable = b.Fuzz.d_irreparable
-    && a.Fuzz.d_events = b.Fuzz.d_events)
+(* campaign results must be independent of how iterations are spread
+   over domains: only wall time may differ *)
+let test_jobs_invariant run counters failures () =
+  let a = run ~jobs:1 and b = run ~jobs:2 in
+  Alcotest.(check (list string)) "no failures" [] (failures b);
+  Alcotest.(check (list int)) "jobs-invariant counters" (counters a) (counters b);
+  Alcotest.(check (list string)) "jobs-invariant failures"
+    (List.sort compare (failures a))
+    (List.sort compare (failures b))
+
+let test_disruption_campaign_parallel =
+  test_jobs_invariant
+    (fun ~jobs -> Fuzz.run_disruptions ~jobs ~iters:12 ~seed:9 ())
+    (fun r ->
+      Fuzz.
+        [
+          r.d_iters;
+          r.d_events;
+          r.d_repaired;
+          r.d_degraded;
+          r.d_irreparable;
+          r.d_unknown;
+          r.d_skipped;
+          r.d_oracle_checked;
+        ])
+    (fun r -> r.Fuzz.d_failures)
+
+let test_lazy_campaign_parallel =
+  test_jobs_invariant
+    (fun ~jobs -> Fuzz.run_lazy ~jobs ~iters:10 ~seed:5 ())
+    (fun r ->
+      Fuzz.[ r.l_iters; r.l_sat; r.l_unsat; r.l_unknown; r.l_eager_vars; r.l_lazy_vars ])
+    (fun r -> r.Fuzz.l_failures)
+
+let test_inprocess_campaign_parallel =
+  test_jobs_invariant
+    (fun ~jobs -> Fuzz.run_inprocess ~jobs ~iters:10 ~seed:11 ())
+    (fun r ->
+      Fuzz.
+        [
+          r.i_iters;
+          r.i_sat;
+          r.i_unsat;
+          r.i_certified;
+          r.i_alloc_solved;
+          r.i_alloc_infeasible;
+        ])
+    (fun r -> r.Fuzz.i_failures)
 
 let test_inprocess_campaign () =
   (* differential: each case solved with and without the inprocessing
@@ -120,6 +157,9 @@ let suite =
       test_disruption_campaign;
     Alcotest.test_case "disruption campaign over 2 domains" `Slow
       test_disruption_campaign_parallel;
+    Alcotest.test_case "lazy campaign over 2 domains" `Slow test_lazy_campaign_parallel;
+    Alcotest.test_case "inprocessing campaign over 2 domains" `Slow
+      test_inprocess_campaign_parallel;
     Alcotest.test_case "inprocessing differential campaign" `Slow
       test_inprocess_campaign;
   ]

@@ -18,6 +18,7 @@
    suites sharing the process never contaminate each other. *)
 
 module Obs = Taskalloc_obs.Obs
+module Json = Taskalloc_obs.Json
 module Solver = Taskalloc_sat.Solver
 module Lit = Taskalloc_sat.Lit
 module Budget = Taskalloc_sat.Budget
@@ -340,7 +341,7 @@ let test_request_context () =
   | [ ev ] -> Alcotest.(check string) "r1 owns exactly its event" "a" ev.Obs.ev_name
   | evs -> Alcotest.failf "expected 1 r1 event, got %d" (List.length evs));
   (* the filtered trace contains r2's span and nothing else's *)
-  let j = parse_json (Obs.trace_json ~request:"r2" ()) in
+  let j = parse_json (Json.to_string (Obs.trace_json ~request:"r2" ())) in
   let names = List.map (fun ev -> as_str (field "name" ev)) (as_arr (field "traceEvents" j)) in
   Alcotest.(check (list string)) "r2 trace is just its span" [ "b" ] names;
   Alcotest.(check int) "unfiltered trace has all four events" 4
@@ -434,7 +435,7 @@ let test_chaos_stop_mid_span () =
   | _ -> Alcotest.fail "tripped budget should yield Unknown");
   (* an exception abandoning a span still records it, with an error attr *)
   (try Obs.span "boom" (fun () -> failwith "injected") with Failure _ -> ());
-  let j = parse_json (Obs.trace_json ()) in
+  let j = parse_json (Json.to_string (Obs.trace_json ())) in
   let evs = as_arr (field "traceEvents" j) in
   Alcotest.(check bool) "events recorded" true (List.length evs >= 2);
   let boom =
@@ -456,7 +457,7 @@ let test_trace_json_roundtrip () =
   Obs.enable ~tracing:true ~metrics:true ();
   Obs.span "alpha" (fun () -> Obs.instant ~attrs:[ ("q", "\"quoted\\\"") ] "mark");
   Obs.emit_sample "pulse" [ ("x", 1.5) ];
-  let j = parse_json (Obs.trace_json ()) in
+  let j = parse_json (Json.to_string (Obs.trace_json ())) in
   Alcotest.(check string) "display unit" "ms" (as_str (field "displayTimeUnit" j));
   let evs = as_arr (field "traceEvents" j) in
   Alcotest.(check int) "three events" 3 (List.length evs);
@@ -486,7 +487,7 @@ let test_metrics_json_roundtrip () =
   Obs.Metrics.incr ~by:3 "c.count";
   Obs.Metrics.set "g.level" 7;
   List.iter (Obs.Metrics.observe "h.vals") [ 1; 2; 300 ];
-  let j = parse_json (Obs.metrics_json ()) in
+  let j = parse_json (Json.to_string (Obs.metrics_json ())) in
   Alcotest.(check (float 0.)) "counter" 3. (as_num (field "c.count" (field "counters" j)));
   Alcotest.(check (float 0.)) "gauge" 7. (as_num (field "g.level" (field "gauges" j)));
   let h = field "h.vals" (field "histograms" j) in
@@ -599,7 +600,7 @@ let test_flight_ring () =
     (List.map (fun ev -> ev.Obs.ev_name) (Obs.Flight.snapshot ()));
   (* the dump parses as a Chrome trace, timestamps rebased to the
      oldest retained entry *)
-  let j = parse_json (Obs.Flight.dump_json ()) in
+  let j = parse_json (Json.to_string (Obs.Flight.dump_json ())) in
   let evs = as_arr (field "traceEvents" j) in
   Alcotest.(check int) "dump holds the ring" 4 (List.length evs);
   Alcotest.(check (float 0.)) "rebased to oldest" 0.

@@ -6,6 +6,7 @@
 open Taskalloc_rt
 open Taskalloc_core
 module Repair = Taskalloc_repair.Repair
+module Json = Taskalloc_obs.Json
 module Scenario = Taskalloc_repair.Scenario
 module Heuristics = Taskalloc_heuristics.Heuristics
 module Budget = Taskalloc_sat.Budget
@@ -616,6 +617,58 @@ let test_no_stale_session_after_kept_allocation () =
   Alcotest.(check (option int)) "migrations = oracle minimum" (Some 2) oracle;
   Alcotest.(check int) "migrations" 2 (List.length r3.migrations)
 
+(* -- JSON answer: exact bytes ------------------------------------------ *)
+
+(* The expected strings are the bytes of the printf emitter this answer
+   had before it was built as a [Json.t], with two deliberate
+   differences: [time_s] prints as the shortest decimal that reads back
+   as the same float ([0.125], not [0.125000]), and a tab or carriage
+   return escapes as [\t] / [\r] rather than [\u0009] / [\u000d]. *)
+let test_outcome_json_golden () =
+  let p =
+    Model.make_problem ~arch:(arch 2)
+      ~tasks:
+        [
+          mk_task 0 "q\"uote" 50 (everywhere 2 10);
+          mk_task 1 "new\nline\ttab\rcr" 50 (everywhere 2 10);
+        ]
+  in
+  let group kind descr = { Encode.selector = Taskalloc_sat.Lit.of_var 1; kind; descr } in
+  let g0 = group (Encode.G_deadline 0) "deadline of q\"uote (d=50)" in
+  let g1 = group (Encode.G_capacity 1) "back\\slash\tcap\r\n" in
+  let json o = Json.to_string (Repair.outcome_to_json o) in
+  Alcotest.(check string) "repaired"
+    {|{"status":"repaired","degraded":true,"warm":false,"optimal":true,"migrations":[{"task":"q\"uote","from":0,"to":1,"forced":true,"because":[{"id":"deadline:0","descr":"deadline of q\"uote (d=50)"},{"id":"capacity:1","descr":"back\\slash\tcap\r\n"}]}],"sheds":[{"task":"back\\slash","criticality":2,"because":[{"id":"capacity:1","descr":"back\\slash\tcap\r\n"}]}],"placement":[["q\"uote",1],["new\nline\ttab\rcr",0]],"solves":3,"check_violations":0,"sim_misses":-1,"time_s":0.125}|}
+    (json
+       (Repair.Repaired
+          {
+            Repair.problem = p;
+            allocation = placed p [| 1; 0 |];
+            migrations =
+              [
+                {
+                  Repair.m_task = "q\"uote";
+                  m_from = 0;
+                  m_to = 1;
+                  m_forced = true;
+                  m_because = [ g0; g1 ];
+                };
+              ];
+            sheds =
+              [ { Repair.s_task = "back\\slash"; s_criticality = 2; s_because = [ g1 ] } ];
+            degraded = true;
+            warm = false;
+            optimal = true;
+            solves = 3;
+            check_violations = 0;
+            sim_misses = -1;
+            time_s = 0.125;
+          }));
+  Alcotest.(check string) "irreparable"
+    {|{"status":"irreparable","why":"no seat for \"x\"\tleft\n","core":[{"id":"capacity:1","descr":"back\\slash\tcap\r\n"}]}|}
+    (json (Repair.Irreparable { core = [ g1 ]; why = "no seat for \"x\"\tleft\n" }));
+  Alcotest.(check string) "unknown" {|{"status":"unknown"}|} (json Repair.Unknown)
+
 let suite =
   [
     Alcotest.test_case "ECU failure: warm minimal repair" `Quick
@@ -648,5 +701,6 @@ let suite =
       test_mild_overrun_keeps_allocation;
     Alcotest.test_case "kept allocation drops a stale session" `Quick
       test_no_stale_session_after_kept_allocation;
+    Alcotest.test_case "JSON answer: exact bytes" `Quick test_outcome_json_golden;
     QCheck_alcotest.to_alcotest oracle_test;
   ]
